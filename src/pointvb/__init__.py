@@ -42,12 +42,10 @@ from .training import (
     HeadParams,
     TrainConfig,
     TrainState,
-    finetune_step,
     init_state,
     load_checkpoint,
     masked_cross_entropy,
     poly_lr,
-    pretrain_step,
     save_checkpoint,
     sgd_momentum_step,
 )

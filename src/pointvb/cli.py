@@ -15,24 +15,22 @@ import numpy as np
 from .config import default_config, load_config, train_config
 from .errors import DataError, NumericError, UsageError
 from .experiment import (
-    VoxelizedScenes,
+    VoxelizedScenes,  # unused; perfbench/tracer.py traces this name
     _load_or_generate,
-    finetune,
     generate_dataset,
-    pretrain,
     run_experiment,
-    sparsify_scenes,
+    run_phase,
     write_report_csv,
-    write_trace_csv,
 )
+from .geometry import farthest_point_sampling
 from .metrics import evaluate
-from .nncore import encoder_forward, encoder_backward, gradient_check
+from .nncore import encoder_forward, gradient_check
 from .pcio import generate_synthetic_scene
 from .training import (
-    attach_head,
     init_state,
     load_checkpoint,
-    save_checkpoint,
+    pair_loss_and_grads,
+    save_checkpoint,  # unused; perfbench/tracer.py traces this name
 )
 from .vbloss import vb_loss_backward
 
@@ -53,8 +51,6 @@ def _build_parser() -> _Parser:
                        help="override the config seed")
         p.add_argument("--out", type=Path, default=None,
                        help="override the config output directory")
-        p.add_argument("--deterministic", action="store_true", default=None,
-                       help="force fully serialized deterministic execution")
         if name in ("finetune", "eval"):
             p.add_argument("--checkpoint", type=Path, default=None,
                            help="checkpoint to start from / evaluate")
@@ -67,8 +63,6 @@ def _values(args) -> dict:
         values["seed"] = args.seed
     if args.out is not None:
         values["out_dir"] = str(args.out)
-    if args.deterministic is not None:
-        values["deterministic"] = args.deterministic
     return values
 
 
@@ -80,46 +74,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
+def _cmd_train(args) -> int:
+    """`pretrain` or `finetune`: one phase; fine-tuning starts from
+    --checkpoint or init_checkpoint when one is given."""
     values = _values(args)
+    phase = args.command
     out = Path(values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    cfg = train_config(values, "pretrain")
+    state = None
+    if phase == "finetune":
+        if args.checkpoint is not None:
+            values["init_checkpoint"] = str(args.checkpoint)
+        if values["init_checkpoint"]:
+            state, _ = load_checkpoint(values["init_checkpoint"])
     train_scenes, _ = _load_or_generate(values)
-    data = VoxelizedScenes(train_scenes, cfg)
-    state = init_state(cfg)
-    trace = pretrain(state, data, cfg)
-    write_trace_csv(trace, out / "pretrain_trace.csv")
-    save_checkpoint(state, cfg, out / "pretrain.ckpt")
-    print(f"pretrained {cfg.iterations} steps; final loss "
-          f"{trace[-1][2]:.6f}; checkpoint at {out / 'pretrain.ckpt'}")
-    return 0
-
-
-def _cmd_finetune(args) -> int:
-    values = _values(args)
-    if args.checkpoint is not None:
-        values["init_checkpoint"] = str(args.checkpoint)
-    out = Path(values["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = train_config(values, "finetune")
-    train_scenes, _ = _load_or_generate(values)
-    sparse = sparsify_scenes(train_scenes, values["labels_per_scene"],
-                             values["seed"])
-    data = VoxelizedScenes(sparse, cfg)
-    if values["init_checkpoint"]:
-        state, _ = load_checkpoint(values["init_checkpoint"])
-        if state.head is None:
-            attach_head(state, cfg)
-        else:
-            state.step = 0
-    else:
-        state = init_state(cfg, with_head=True)
-    trace = finetune(state, data, cfg)
-    write_trace_csv(trace, out / "finetune_trace.csv")
-    save_checkpoint(state, cfg, out / "final.ckpt")
-    print(f"fine-tuned {cfg.iterations} steps; final loss "
-          f"{trace[-1][2]:.6f}; checkpoint at {out / 'final.ckpt'}")
+    _, trace = run_phase(values, phase, train_scenes, state, out)
+    print(f"{phase}: {len(trace)} steps; final loss {trace[-1][2]:.6f}; "
+          f"outputs in {out}")
     return 0
 
 
@@ -145,14 +116,12 @@ def _cmd_gradcheck(args) -> int:
     seed = values["seed"]
     cfg = train_config(values, "pretrain")
     cfg.feature_dim, cfg.hidden_widths, cfg.knn, cfg.fps_count = 8, (8,), 4, 16
+    vb_cfg = cfg.vb_config()
     cloud, _ = generate_synthetic_scene(seed, 32, 2)
+    other, _ = generate_synthetic_scene(seed + 1, 32, 2)
     state = init_state(cfg)
     rng = np.random.default_rng(seed)
-
-    from .geometry import farthest_point_sampling
-
     sample = farthest_point_sampling(cloud, cfg.fps_count, 0).indices
-    other, _ = generate_synthetic_scene(seed + 1, 32, 2)
 
     def loss_fn(params):
         enc = state.encoder.copy()
@@ -160,22 +129,11 @@ def _cmd_gradcheck(args) -> int:
         enc.biases = [params[f"enc.b{i}"] for i in range(len(enc.biases))]
         fp, _ = encoder_forward(enc, cloud)
         fq, _ = encoder_forward(enc, other)
-        loss, _, _ = vb_loss_backward(fp[sample], fq[sample], cfg.vb_config())
+        loss, _, _ = vb_loss_backward(fp[sample], fq[sample], vb_cfg)
         return loss
 
-    fp, tape_p = encoder_forward(state.encoder, cloud)
-    fq, tape_q = encoder_forward(state.encoder, other)
-    _, gp, gq = vb_loss_backward(fp[sample], fq[sample], cfg.vb_config())
-    up = np.zeros_like(fp)
-    up[sample] = gp
-    uq = np.zeros_like(fq)
-    uq[sample] = gq
-    grads = encoder_backward(tape_p, up).grads
-    for name, g in encoder_backward(tape_q, uq).grads.items():
-        grads[name] += g
-    params = {f"enc.w{i}": w for i, w in enumerate(state.encoder.weights)}
-    params.update({f"enc.b{i}": b for i, b in enumerate(state.encoder.biases)})
-    report = gradient_check(loss_fn, params, grads, rng=rng)
+    _, grads = pair_loss_and_grads(state.encoder, cloud, other, sample, vb_cfg)
+    report = gradient_check(loss_fn, state.param_dict(), grads, rng=rng)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max relative error {report.max_rel_error:.3e} "
           f"(tolerance {report.tolerance})")
@@ -193,8 +151,8 @@ def _cmd_run(args) -> int:
 
 _COMMANDS = {
     "synth": _cmd_synth,
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
+    "pretrain": _cmd_train,
+    "finetune": _cmd_train,
     "eval": _cmd_eval,
     "gradcheck": _cmd_gradcheck,
     "run": _cmd_run,

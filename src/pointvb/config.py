@@ -33,7 +33,6 @@ SCHEMA: dict[str, tuple] = {
     "seed": (int, 0),
     "out_dir": (str, "out"),
     "data_dir": (str, ""),
-    "deterministic": (_parse_bool, True),
     # synthetic dataset
     "num_scenes": (int, 16),
     "val_scenes": (int, 8),

@@ -1,9 +1,9 @@
-"""Experiment orchestration: dataset preparation, the two training phases,
+"""Experiment orchestration: dataset preparation, the one optimizer step,
+the two training phases and the runner the library and CLI share,
 evaluation, and CSV/checkpoint emission."""
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,9 @@ class VoxelizedScenes:
 
 
 def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | None:
-    """Run `compute(scene_index)` over a batch, average grads, update once."""
+    """The optimizer step of both phases: average the (loss, grads) pairs of
+    cfg.batch_size `compute()` calls, skipping None, and take one SGD step
+    at poly_lr. Returns the mean loss, or None when every call skipped."""
     total: dict[str, np.ndarray] | None = None
     losses = []
     for _ in range(cfg.batch_size):
@@ -185,57 +187,64 @@ def generate_dataset(values: dict, out_dir: Path) -> None:
     write_scene_set(val, out_dir / "val")
 
 
+def run_phase(
+    values: dict, phase: str, train_scenes: SceneSet,
+    state: TrainState | None, out: Path,
+) -> tuple[TrainState, list[tuple[int, float, float]]]:
+    """Train one phase from `state`, or a fresh model when it is None; write
+    <phase>_trace.csv and pretrain.ckpt or final.ckpt under out, and return
+    the state and its (step, lr, loss) trace. Fine-tuning keeps
+    labels_per_scene labels a scene, gives a headless encoder a fresh head,
+    and restarts a model that has a head at step 0."""
+    cfg = train_config(values, phase)
+    if phase == "finetune":
+        train_scenes = sparsify_scenes(train_scenes, values["labels_per_scene"],
+                                       values["seed"])
+    data = VoxelizedScenes(train_scenes, cfg)
+    if state is None:
+        state = init_state(cfg, with_head=phase == "finetune")
+    elif phase == "finetune" and state.head is None:
+        attach_head(state, cfg)
+    elif phase == "finetune":
+        state.step = 0
+    if phase == "pretrain":
+        trace, checkpoint = pretrain(state, data, cfg), "pretrain.ckpt"
+    else:
+        trace, checkpoint = finetune(state, data, cfg), "final.ckpt"
+    write_trace_csv(trace, out / f"{phase}_trace.csv")
+    save_checkpoint(state, cfg, out / checkpoint)
+    return state, trace
+
+
 def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     """Execute pretrain and/or finetune per config, evaluate, emit reports.
 
     Writes trace.csv (per-phase loss traces), report.csv (per-class and
-    mean IoU), and checkpoint files under out_dir.
+    mean IoU), and checkpoint files under out_dir. An init_checkpoint
+    takes the place of pretraining.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     train_scenes, val_scenes = _load_or_generate(values)
 
     trace = []
     state = None
     if values["init_checkpoint"]:
         state, _ = load_checkpoint(values["init_checkpoint"])
-
-    if values["pretrain"] and not values["init_checkpoint"]:
-        pre_cfg = train_config(values, "pretrain")
-        pre_data = VoxelizedScenes(train_scenes, pre_cfg)
-        state = init_state(pre_cfg)
-        pre_trace = pretrain(state, pre_data, pre_cfg)
-        trace.extend(pre_trace)
-        write_trace_csv(pre_trace, out / "pretrain_trace.csv")
-        save_checkpoint(state, pre_cfg, out / "pretrain.ckpt")
-
-    fine_cfg = train_config(values, "finetune")
-    if values["finetune"]:
-        sparse = sparsify_scenes(train_scenes, values["labels_per_scene"],
-                                 values["seed"])
-        fine_data = VoxelizedScenes(sparse, fine_cfg)
-        if state is None:
-            state = init_state(fine_cfg, with_head=True)
-        elif state.head is None:
-            attach_head(state, fine_cfg)
-        else:
-            state.step = 0
-        fine_trace = finetune(state, fine_data, fine_cfg)
-        trace.extend(fine_trace)
-        write_trace_csv(fine_trace, out / "finetune_trace.csv")
-        save_checkpoint(state, fine_cfg, out / "final.ckpt")
+    for phase in ("pretrain", "finetune"):
+        if values[phase] and (phase == "finetune" or state is None):
+            state, phase_trace = run_phase(values, phase, train_scenes, state,
+                                           out)
+            trace.extend(phase_trace)
     if state is None:
         raise DataError("config enables neither pretraining nor fine-tuning "
                         "and provides no init_checkpoint")
     if state.head is None:
         raise DataError("no classification head trained; cannot evaluate")
 
-    report = evaluate(state, val_scenes, fine_cfg)
+    report = evaluate(state, val_scenes, train_config(values, "finetune"))
     report.config = dict(values)
     report.config["hidden_widths"] = list(values["hidden_widths"])
-    report.loss_trace = trace
-    report.wall_time = time.perf_counter() - started
     write_trace_csv(trace, out / "trace.csv")
     write_report_csv(report, out / "report.csv")
     return report

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +71,6 @@ class RunReport:
     seed: int
     per_class_iou: list[float | None]
     mean_iou: float
-    loss_trace: list[tuple[int, float, float]] = field(default_factory=list)
-    wall_time: float = 0.0
 
 
 def predict_scene(state: TrainState, cloud, cfg: TrainConfig) -> np.ndarray:
@@ -96,7 +93,6 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     point; only points with present ground truth enter the confusion
     matrix.
     """
-    started = time.perf_counter()
     cm = ConfusionMatrix.zeros(cfg.num_classes)
     any_truth = False
     for cloud, labels in scenes.scenes:
@@ -119,5 +115,4 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
         seed=cfg.seed,
         per_class_iou=per_class,
         mean_iou=mean,
-        wall_time=time.perf_counter() - started,
     )

@@ -46,16 +46,6 @@ class EncoderParams:
 
 
 @dataclass
-class GradientSet:
-    """Named parameter gradients, shape-matched to the parameter dict."""
-
-    grads: dict[str, np.ndarray]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.grads[name]
-
-
-@dataclass
 class ForwardTape:
     """Activations recorded by encoder_forward for the backward pass."""
 
@@ -150,7 +140,7 @@ def encoder_forward(
     return features, tape
 
 
-def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> GradientSet:
+def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of <upstream, features> w.r.t. every encoder parameter."""
     params = tape.params
     d = params.feature_dim
@@ -174,7 +164,7 @@ def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> GradientSet:
         grads[f"enc.w{layer}"] = tape.layer_inputs[layer].T @ dz
         grads[f"enc.b{layer}"] = dz.sum(axis=0)
         dx = dz @ params.weights[layer].T
-    return GradientSet(grads)
+    return grads
 
 
 def normalize_columns(features: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:

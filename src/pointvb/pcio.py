@@ -7,7 +7,6 @@ vertex data with x/y/z float and red/green/blue uint8 properties.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,12 +17,6 @@ from .errors import DataError, LabelError, PlyParseError
 
 ABSENT = -1
 
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
 _PLY_STRUCT_CODES = {
     "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
     "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
@@ -156,7 +149,7 @@ def _parse_ply_header(raw: bytes, path: str):
                     raise PlyParseError(f"{path}: malformed list property", offset)
                 elements[-1][2].append(("list", tokens[2], tokens[3], tokens[4]))
             else:
-                if len(tokens) != 3 or tokens[1] not in _PLY_SCALAR_SIZES:
+                if len(tokens) != 3 or tokens[1] not in _PLY_STRUCT_CODES:
                     raise PlyParseError(
                         f"{path}: unsupported property line '{line}'", offset
                     )
@@ -245,16 +238,14 @@ def load_ply(path: str | Path) -> PointCloud:
 
     # binary_little_endian
     codes = [_PLY_STRUCT_CODES[p[1]] for p in props]
-    record = struct.Struct("<" + "".join(codes))
+    dtype = np.dtype([(f"f{i}", "<" + c) for i, c in enumerate(codes)])
     payload = raw[payload_offset:]
-    needed = record.size * count
-    if len(payload) < needed:
-        have = len(payload) // record.size
+    if len(payload) < dtype.itemsize * count:
+        have = len(payload) // dtype.itemsize
         raise PlyParseError(
             f"{path}: payload truncated at vertex {have} of {count}",
-            payload_offset + have * record.size,
+            payload_offset + have * dtype.itemsize,
         )
-    dtype = np.dtype([(f"f{i}", "<" + c) for i, c in enumerate(codes)])
     table = np.frombuffer(payload, dtype=dtype, count=count)
     positions = np.stack(
         [table[f"f{want[k]}"].astype(np.float64) for k in ("x", "y", "z")], axis=1
@@ -287,9 +278,10 @@ def save_ply(cloud: PointCloud, path: str | Path, binary: bool = True) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            rec = struct.Struct("<dddBBB")
-            for p, c in zip(cloud.positions, colors):
-                fh.write(rec.pack(p[0], p[1], p[2], c[0], c[1], c[2]))
+            records = np.empty(m, dtype=[("xyz", "<f8", 3), ("rgb", "u1", 3)])
+            records["xyz"] = cloud.positions
+            records["rgb"] = colors
+            fh.write(records.tobytes())
         else:
             for p, c in zip(cloud.positions, colors):
                 fh.write(

@@ -1,5 +1,6 @@
-"""Pretraining and fine-tuning loops, SGD with momentum, the polynomial
-learning-rate schedule, and binary checkpoint persistence."""
+"""Per-scene losses and gradients of both training phases, SGD with
+momentum, the polynomial learning-rate schedule, and binary checkpoint
+persistence."""
 
 from __future__ import annotations
 
@@ -155,12 +156,38 @@ def sgd_momentum_step(
         p -= lr * buf
 
 
-def _apply_update(state: TrainState, grads: dict[str, np.ndarray],
-                  cfg: TrainConfig) -> None:
-    lr = poly_lr(state.step, cfg)
-    sgd_momentum_step(state.param_dict(), grads, state.momentum_buffers,
-                      lr, cfg.momentum)
-    state.step += 1
+def pair_loss_and_grads(
+    encoder: EncoderParams,
+    view_p: PointCloud,
+    view_q: PointCloud,
+    sample: np.ndarray,
+    vb_cfg: VbConfig,
+    neighbors: np.ndarray | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Viewpoint-bottleneck loss of two views at the shared `sample` rows
+    and its gradients with respect to every encoder parameter.
+
+    neighbors is the kNN graph both views share; each view builds its own
+    when it is None.
+    """
+    feats_p, tape_p = encoder_forward(encoder, view_p, neighbors)
+    feats_q, tape_q = encoder_forward(encoder, view_q, neighbors)
+    loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
+                                            vb_cfg)
+    if not np.isfinite(loss):
+        z = cross_correlation(feats_p[sample], feats_q[sample]).z
+        raise NumericError(
+            f"non-finite pretrain loss; "
+            f"cross-correlation extrema [{np.nanmin(z)}, {np.nanmax(z)}]"
+        )
+    upstream_p = np.zeros_like(feats_p)
+    upstream_p[sample] = grad_p
+    upstream_q = np.zeros_like(feats_q)
+    upstream_q[sample] = grad_q
+    grads = encoder_backward(tape_p, upstream_p)
+    for name, g in encoder_backward(tape_q, upstream_q).items():
+        grads[name] += g
+    return loss, grads
 
 
 def pretrain_grads(
@@ -183,41 +210,13 @@ def pretrain_grads(
     view_q = apply_transform(cloud, t_q)
     if neighbors is None:
         neighbors = knn_indices(cloud.positions, cfg.knn)
-    feats_p, tape_p = encoder_forward(state.encoder, view_p, neighbors)
-    feats_q, tape_q = encoder_forward(state.encoder, view_q, neighbors)
     sample = farthest_point_sampling(cloud, h, start).indices
-    loss, grad_p, grad_q = vb_loss_backward(
-        feats_p[sample], feats_q[sample], cfg.vb_config()
-    )
-    if not np.isfinite(loss):
-        z = cross_correlation(feats_p[sample], feats_q[sample]).z
-        raise NumericError(
-            f"non-finite pretrain loss at step {state.step}; "
-            f"cross-correlation extrema [{np.nanmin(z)}, {np.nanmax(z)}]"
-        )
-    upstream_p = np.zeros_like(feats_p)
-    upstream_p[sample] = grad_p
-    upstream_q = np.zeros_like(feats_q)
-    upstream_q[sample] = grad_q
-    grads = encoder_backward(tape_p, upstream_p).grads
-    for name, g in encoder_backward(tape_q, upstream_q).grads.items():
-        grads[name] += g
+    loss, grads = pair_loss_and_grads(state.encoder, view_p, view_q, sample,
+                                      cfg.vb_config(), neighbors)
     if state.head is not None:
         grads["head.w"] = np.zeros_like(state.head.weight)
         grads["head.b"] = np.zeros_like(state.head.bias)
     return loss, grads
-
-
-def pretrain_step(
-    state: TrainState,
-    cloud: PointCloud,
-    cfg: TrainConfig,
-    neighbors: np.ndarray | None = None,
-) -> float:
-    """One self-supervised optimizer step on a (voxel-downsampled) cloud."""
-    loss, grads = pretrain_grads(state, cloud, cfg, neighbors)
-    _apply_update(state, grads, cfg)
-    return loss
 
 
 def masked_cross_entropy(
@@ -268,26 +267,10 @@ def finetune_grads(
     loss, dlogits = masked_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite fine-tune loss at step {state.step}")
-    grads = encoder_backward(tape, dlogits @ state.head.weight.T).grads
+    grads = encoder_backward(tape, dlogits @ state.head.weight.T)
     grads["head.w"] = features.T @ dlogits
     grads["head.b"] = dlogits.sum(axis=0)
     return loss, grads
-
-
-def finetune_step(
-    state: TrainState,
-    cloud: PointCloud,
-    labels: SparseLabelSet,
-    cfg: TrainConfig,
-    neighbors: np.ndarray | None = None,
-) -> float | None:
-    """One pointly-supervised optimizer step; returns None on a skipped scene."""
-    result = finetune_grads(state, cloud, labels, cfg, neighbors)
-    if result is None:
-        return None
-    loss, grads = result
-    _apply_update(state, grads, cfg)
-    return loss
 
 
 # ---------------------------------------------------------------------------

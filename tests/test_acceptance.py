@@ -15,6 +15,7 @@ from scipy.spatial.distance import cdist
 
 from pointvb.experiment import (
     VoxelizedScenes,
+    _accumulated_step,
     finetune,
     make_synthetic_dataset,
     pretrain,
@@ -28,7 +29,7 @@ from pointvb.geometry import (
     voxel_downsample,
 )
 from pointvb.metrics import ConfusionMatrix, evaluate, miou
-from pointvb.nncore import encoder_backward, encoder_forward, init_encoder
+from pointvb.nncore import encoder_forward, init_encoder
 from pointvb.pcio import PointCloud, SparseLabelSet, generate_synthetic_scene
 from pointvb.training import (
     TrainConfig,
@@ -37,7 +38,8 @@ from pointvb.training import (
     init_state,
     load_checkpoint,
     masked_cross_entropy,
-    pretrain_step,
+    pair_loss_and_grads,
+    pretrain_grads,
     save_checkpoint,
 )
 from pointvb.vbloss import (
@@ -156,16 +158,8 @@ class TestCriterion1GradientFidelity:
             loss, _, _ = vb_loss_backward(fp[sample], fq[sample], vb_cfg)
             return loss
 
-        fp, tape_p = encoder_forward(encoder, view_p)
-        fq, tape_q = encoder_forward(encoder, view_q)
-        _, gp, gq = vb_loss_backward(fp[sample], fq[sample], vb_cfg)
-        up = np.zeros_like(fp)
-        up[sample] = gp
-        uq = np.zeros_like(fq)
-        uq[sample] = gq
-        grads = encoder_backward(tape_p, up).grads
-        for name, g in encoder_backward(tape_q, uq).grads.items():
-            grads[name] += g
+        _, grads = pair_loss_and_grads(encoder, view_p, view_q, sample,
+                                       vb_cfg)
         params = {f"enc.w{i}": w for i, w in enumerate(encoder.weights)}
         params |= {f"enc.b{i}": b for i, b in enumerate(encoder.biases)}
         # column mean-centering makes the loss exactly invariant to the
@@ -502,13 +496,18 @@ class TestCriterion8DeterminismPersistence:
             off_diagonal_weight=1 / 16, fps_count=32, feature_dim=16,
             hidden_widths=(16,), knn=8, seed=0,
         )
+
+        def steps(state, cfg, count):
+            return [_accumulated_step(
+                state, cfg, lambda: pretrain_grads(state, cloud, cfg))
+                for _ in range(count)]
+
+        straight = steps(init_state(cfg), cfg, 10)
         state = init_state(cfg)
-        straight = [pretrain_step(state, cloud, cfg) for _ in range(10)]
-        state = init_state(cfg)
-        resumed = [pretrain_step(state, cloud, cfg) for _ in range(4)]
+        resumed = steps(state, cfg, 4)
         save_checkpoint(state, cfg, tmp_path / "mid.ckpt")
         state, cfg = load_checkpoint(tmp_path / "mid.ckpt")
-        resumed += [pretrain_step(state, cloud, cfg) for _ in range(6)]
+        resumed += steps(state, cfg, 6)
         resume_ok = straight == resumed
 
         elapsed = time.perf_counter() - started

@@ -29,7 +29,6 @@ class TestParseConfig:
                     "seed = 3",
                     "out_dir = results",
                     "data_dir = scenes",
-                    "deterministic = false",
                     "num_scenes = 12",
                     "val_scenes = 6",
                     "points_per_scene = 1024",
@@ -168,6 +167,14 @@ class TestCli:
         report = (out / "report.csv").read_text()
         assert report.startswith("class,iou\n")
         assert report.strip().splitlines()[-1].startswith("mean,")
+        # the split path trains exactly what `run` trains
+        full = tmp_path / "full"
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(full)]) == 0
+        for name in ("pretrain_trace.csv", "finetune_trace.csv",
+                     "pretrain.ckpt", "final.ckpt"):
+            assert (out / name).read_bytes() == (full / name).read_bytes(), \
+                name
 
     def test_synth_writes_dataset(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"

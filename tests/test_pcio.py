@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,11 @@ class TestLoadPly:
         loaded = load_ply(path)
         np.testing.assert_array_equal(loaded.positions, cloud.positions)
         np.testing.assert_array_equal(loaded.colors, cloud.colors)
+        reference = b"".join(
+            struct.pack("<dddBBB", *p, *c.astype(np.uint8))
+            for p, c in zip(cloud.positions, cloud.colors)
+        )
+        assert path.read_bytes().split(b"end_header\n", 1)[1] == reference
 
     def test_ascii_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pointvb.errors import CheckpointError, DataError
+from pointvb.experiment import _accumulated_step
 from pointvb.geometry import voxel_downsample
 from pointvb.nncore import encoder_forward, gradient_check
 from pointvb.pcio import SparseLabelSet, generate_synthetic_scene
@@ -13,16 +14,26 @@ from pointvb.training import (
     TrainConfig,
     attach_head,
     finetune_grads,
-    finetune_step,
     init_state,
     load_checkpoint,
     masked_cross_entropy,
     poly_lr,
     pretrain_grads,
-    pretrain_step,
     save_checkpoint,
     sgd_momentum_step,
 )
+
+
+def pretrain_step(state, cloud, cfg):
+    """One optimizer step on a single cloud."""
+    return _accumulated_step(state, cfg,
+                             lambda: pretrain_grads(state, cloud, cfg))
+
+
+def finetune_step(state, cloud, labels, cfg):
+    """One optimizer step on a single labeled cloud (None when skipped)."""
+    return _accumulated_step(state, cfg,
+                             lambda: finetune_grads(state, cloud, labels, cfg))
 
 
 def tiny_config(**overrides) -> TrainConfig:
