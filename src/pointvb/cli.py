@@ -15,7 +15,7 @@ import numpy as np
 from .config import default_config, load_config, train_config
 from .errors import DataError, NumericError, UsageError
 from .experiment import (
-    VoxelizedScenes,  # unused; perfbench/tracer.py traces this name
+    VoxelizedScenes,
     _load_or_generate,
     generate_dataset,
     run_experiment,
@@ -87,8 +87,9 @@ def _cmd_train(args) -> int:
             values["init_checkpoint"] = str(args.checkpoint)
         if values["init_checkpoint"]:
             state, _ = load_checkpoint(values["init_checkpoint"])
-    train_scenes, _ = _load_or_generate(values)
-    _, trace = run_phase(values, phase, train_scenes, state, out)
+    data = VoxelizedScenes(_load_or_generate(values)[0],
+                           train_config(values, phase))
+    _, trace = run_phase(values, phase, data, state, out)
     print(f"{phase}: {len(trace)} steps; final loss {trace[-1][2]:.6f}; "
           f"outputs in {out}")
     return 0

@@ -4,13 +4,15 @@ evaluation, and CSV/checkpoint emission."""
 
 from __future__ import annotations
 
+import copy
+import ctypes
 from pathlib import Path
 
 import numpy as np
 
 from .config import train_config
 from .errors import DataError
-from .geometry import knn_indices, voxel_downsample
+from .geometry import knn_indices, vote_labels, voxel_downsample
 from .metrics import RunReport, evaluate
 from .pcio import (
     SceneSet,
@@ -51,13 +53,13 @@ class VoxelizedScenes:
     """Per-scene voxelized clouds with cached kNN graphs for training."""
 
     def __init__(self, scenes: SceneSet, cfg: TrainConfig):
+        self.scenes = scenes
         self.clouds = []
         self.labels = []
         self.mappings = []
         self.neighbors = []
         for cloud, labels in scenes.scenes:
-            voxels, merged, mapping = voxel_downsample(cloud, labels,
-                                                       cfg.voxel_size)
+            voxels, merged, mapping = voxel_downsample(cloud, labels, cfg.voxel_size)
             self.clouds.append(voxels)
             self.labels.append(merged)
             self.mappings.append(mapping)
@@ -65,6 +67,14 @@ class VoxelizedScenes:
 
     def __len__(self) -> int:
         return len(self.clouds)
+
+    def relabeled(self, scenes: SceneSet) -> "VoxelizedScenes":
+        """These voxels and kNN graphs, labeled by `scenes` (the same clouds)."""
+        data = copy.copy(self)
+        data.scenes = scenes
+        data.labels = [vote_labels(labels, mapping) for (_, labels), mapping
+                       in zip(scenes.scenes, self.mappings)]
+        return data
 
 
 def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | None:
@@ -96,10 +106,21 @@ def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | N
     return float(np.mean(losses))
 
 
+def _retain_freed_heap() -> None:
+    """Keep the tens of MB a training step frees on glibc's heap for the
+    next step, not handed back to the OS to be faulted in again (7.8k minor
+    faults, ~15 ms of a pretrain step). Process-wide; a no-op off glibc."""
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # libc's, on Linux
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic ceiling
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc pairs them
+
+
 def pretrain(
     state: TrainState, data: VoxelizedScenes, cfg: TrainConfig
 ) -> list[tuple[int, float, float]]:
     """Run cfg.iterations self-supervised steps; returns (step, lr, loss)."""
+    _retain_freed_heap()
     trace = []
     while state.step < cfg.iterations:
         step = state.step
@@ -123,6 +144,7 @@ def finetune(
     are skipped and counted."""
     if not any(lbl.present_mask.any() for lbl in data.labels):
         raise DataError("no scene carries any labeled voxel")
+    _retain_freed_heap()
     trace = []
     while state.step < cfg.iterations:
         step = state.step
@@ -188,19 +210,18 @@ def generate_dataset(values: dict, out_dir: Path) -> None:
 
 
 def run_phase(
-    values: dict, phase: str, train_scenes: SceneSet,
+    values: dict, phase: str, data: VoxelizedScenes,
     state: TrainState | None, out: Path,
 ) -> tuple[TrainState, list[tuple[int, float, float]]]:
-    """Train one phase from `state`, or a fresh model when it is None; write
-    <phase>_trace.csv and pretrain.ckpt or final.ckpt under out, and return
-    the state and its (step, lr, loss) trace. Fine-tuning keeps
-    labels_per_scene labels a scene, gives a headless encoder a fresh head,
-    and restarts a model that has a head at step 0."""
+    """Train one phase on voxelized scenes from `state`, or a fresh model
+    when it is None; write <phase>_trace.csv and pretrain.ckpt or final.ckpt
+    under out, and return the state and its (step, lr, loss) trace. For
+    fine-tuning the voxels are relabeled from labels_per_scene labels a scene,
+    a headless encoder gets a fresh head, and one with a head restarts at 0."""
     cfg = train_config(values, phase)
     if phase == "finetune":
-        train_scenes = sparsify_scenes(train_scenes, values["labels_per_scene"],
-                                       values["seed"])
-    data = VoxelizedScenes(train_scenes, cfg)
+        data = data.relabeled(sparsify_scenes(
+            data.scenes, values["labels_per_scene"], values["seed"]))
     if state is None:
         state = init_state(cfg, with_head=phase == "finetune")
     elif phase == "finetune" and state.head is None:
@@ -231,10 +252,12 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     state = None
     if values["init_checkpoint"]:
         state, _ = load_checkpoint(values["init_checkpoint"])
+    data = None  # both phases read the same voxel_size and knn
     for phase in ("pretrain", "finetune"):
         if values[phase] and (phase == "finetune" or state is None):
-            state, phase_trace = run_phase(values, phase, train_scenes, state,
-                                           out)
+            data = data or VoxelizedScenes(train_scenes,
+                                           train_config(values, phase))
+            state, phase_trace = run_phase(values, phase, data, state, out)
             trace.extend(phase_trace)
     if state is None:
         raise DataError("config enables neither pretraining nor fine-tuning "

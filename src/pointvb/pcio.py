@@ -214,13 +214,11 @@ def load_ply(path: str | Path) -> PointCloud:
             if line.strip():
                 rows.append((line, offset))
             offset += len(line) + 1
+        if len(rows) < count:  # before allocating: the header cannot size it
+            raise PlyParseError(f"{path}: payload truncated at vertex "
+                                f"{len(rows)} of {count}", offset)
         values = np.zeros((count, 6), dtype=np.float64)
-        for i in range(count):
-            if i >= len(rows):
-                raise PlyParseError(
-                    f"{path}: payload truncated at vertex {i} of {count}", offset
-                )
-            line, line_offset = rows[i]
+        for i, (line, line_offset) in enumerate(rows[:count]):
             tokens = line.split()
             if len(tokens) < len(props):
                 raise PlyParseError(
@@ -228,8 +226,7 @@ def load_ply(path: str | Path) -> PointCloud:
                     f"{len(props)}", line_offset
                 )
             try:
-                for j, key in enumerate(("x", "y", "z", "red", "green", "blue")):
-                    values[i, j] = float(tokens[want[key]])
+                values[i] = [float(tokens[j]) for j in want.values()]
             except ValueError:
                 raise PlyParseError(
                     f"{path}: non-numeric value in vertex {i}", line_offset
@@ -247,14 +244,9 @@ def load_ply(path: str | Path) -> PointCloud:
             payload_offset + have * dtype.itemsize,
         )
     table = np.frombuffer(payload, dtype=dtype, count=count)
-    positions = np.stack(
-        [table[f"f{want[k]}"].astype(np.float64) for k in ("x", "y", "z")], axis=1
-    )
-    colors = np.stack(
-        [table[f"f{want[k]}"].astype(np.float64) for k in ("red", "green", "blue")],
-        axis=1,
-    )
-    return PointCloud(positions, colors)
+    values = np.stack([table[f"f{j}"].astype(np.float64) for j in want.values()],
+                      axis=1)
+    return PointCloud(values[:, :3], values[:, 3:])
 
 
 def save_ply(cloud: PointCloud, path: str | Path, binary: bool = True) -> None:

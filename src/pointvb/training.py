@@ -327,48 +327,51 @@ def load_checkpoint(path: str | Path) -> tuple[TrainState, TrainConfig]:
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    pos = 8
-    (meta_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    meta = json.loads(raw[pos:pos + meta_len].decode("utf-8"))
-    pos += meta_len
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
+    try:
+        pos = 8
+        (meta_len,) = struct.unpack_from("<I", raw, pos)
         pos += 4
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<I", raw, pos)
+        meta = json.loads(raw[pos:pos + meta_len].decode("utf-8"))
+        pos += meta_len
+        (count,) = struct.unpack_from("<I", raw, pos)
         pos += 4
-        shape = struct.unpack_from(f"<{ndim}Q", raw, pos)
-        pos += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        tensors[name] = np.frombuffer(
-            raw, dtype="<f8", count=size, offset=pos
-        ).reshape(shape).copy()
-        pos += 8 * size
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            name = raw[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (ndim,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            shape = struct.unpack_from(f"<{ndim}Q", raw, pos)
+            pos += 8 * ndim
+            size = int(np.prod(shape)) if ndim else 1
+            tensors[name] = np.frombuffer(
+                raw, dtype="<f8", count=size, offset=pos
+            ).reshape(shape).copy()
+            pos += 8 * size
 
-    cfg_dict = dict(meta["config"])
-    cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
-    cfg = TrainConfig(**cfg_dict)
-    layers = meta["encoder_layers"]
-    encoder = EncoderParams(
-        [tensors[f"enc.w{i}"] for i in range(layers)],
-        [tensors[f"enc.b{i}"] for i in range(layers)],
-        meta["encoder_knn"],
-    )
-    head = None
-    if meta["has_head"]:
-        head = HeadParams(tensors["head.w"], tensors["head.b"])
-    buffers = {
-        name[len("momentum."):]: tensor
-        for name, tensor in tensors.items()
-        if name.startswith("momentum.")
-    }
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
-    state = TrainState(encoder, head, buffers, meta["step"], rng,
-                       meta["skipped_scenes"])
-    return state, cfg
+        cfg_dict = dict(meta["config"])
+        cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
+        cfg = TrainConfig(**cfg_dict)
+        layers = meta["encoder_layers"]
+        encoder = EncoderParams(
+            [tensors[f"enc.w{i}"] for i in range(layers)],
+            [tensors[f"enc.b{i}"] for i in range(layers)],
+            meta["encoder_knn"],
+        )
+        head = None
+        if meta["has_head"]:
+            head = HeadParams(tensors["head.w"], tensors["head.b"])
+        buffers = {
+            name[len("momentum."):]: tensor
+            for name, tensor in tensors.items()
+            if name.startswith("momentum.")
+        }
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
+        state = TrainState(encoder, head, buffers, meta["step"], rng,
+                           meta["skipped_scenes"])
+        return state, cfg
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None

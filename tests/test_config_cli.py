@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,12 @@ from pointvb.config import (
     train_config,
 )
 from pointvb.errors import ConfigError
-from pointvb.training import load_checkpoint
+from pointvb.training import (
+    TrainConfig,
+    init_state,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 class TestParseConfig:
@@ -218,6 +227,31 @@ class TestCli:
         assert main(["eval", "--config", str(tiny_config_file),
                      "--checkpoint", str(fake)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["missing_tensor", "unknown_config_key",
+                                      "empty_metadata"])
+    def test_malformed_checkpoint_structure_exit_code(
+            self, edit, tiny_config_file, tmp_path, capsys):
+        path = tmp_path / "edited.ckpt"
+        cfg = TrainConfig(phase="finetune", feature_dim=8, hidden_widths=(8,),
+                          knn=8)
+        save_checkpoint(init_state(cfg, with_head=True), cfg, path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12:12 + meta_len])
+        if edit == "missing_tensor":
+            meta["encoder_layers"] += 1  # names an enc.w tensor not stored
+        elif edit == "unknown_config_key":
+            meta["config"]["no_such_key"] = 1
+        meta_bytes = b"" if edit == "empty_metadata" else \
+            json.dumps(meta).encode()
+        body = (raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                + raw[12 + meta_len:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["eval", "--config", str(tiny_config_file),
+                     "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "malformed checkpoint" in err
 
     def test_unknown_subcommand(self):
         assert main(["explode"]) == 1

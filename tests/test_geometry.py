@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,7 +229,61 @@ class TestVoxelDownsample:
             voxel_downsample(cloud, labels, 0.0)
 
 
+def knn_reference(positions, k, rows=None):
+    """Per-row brute force: exact squared distances by difference, self
+    excluded, sorted by (distance, index)."""
+    m = len(positions)
+    rows = range(m) if rows is None else rows
+    out = []
+    for i in rows:
+        d = np.sum((positions - positions[i]) ** 2, axis=1)
+        order = np.lexsort((np.arange(m), d))
+        out.append(order[order != i][:k])
+    return np.array(out, dtype=np.int64).reshape(len(out), k)
+
+
+def lattice(n):
+    g = np.arange(n, dtype=np.float64)
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 class TestKnnIndices:
+    @pytest.mark.parametrize("k", [1, 6, 16])
+    @pytest.mark.parametrize("cloud", ["lattice", "lattice_duplicates",
+                                       "all_equal", "random"])
+    def test_matches_brute_force(self, cloud, k):
+        rng = np.random.default_rng(k)
+        if cloud == "lattice":
+            positions = lattice(6)
+        elif cloud == "lattice_duplicates":
+            base = lattice(6)
+            positions = np.concatenate(
+                [base, base[rng.choice(len(base), 20, replace=False)]])
+            positions = positions[rng.permutation(len(positions))]
+        elif cloud == "all_equal":
+            positions = np.full((40, 3), 0.3)
+        else:
+            positions = rng.normal(size=(500, 3))
+        np.testing.assert_array_equal(knn_indices(positions, k),
+                                      knn_reference(positions, k))
+
+    def test_twenty_thousand_points(self):
+        rng = np.random.default_rng(7)
+        positions = rng.uniform(0.0, 10.0, size=(20_000, 3))
+        tracemalloc.start()
+        try:
+            nbrs = knn_indices(positions, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense 20k x 20k float64 matrix alone would be 3.2 GB
+        assert peak < 256 * 2**20
+        assert nbrs.shape == (20_000, 16) and nbrs.dtype == np.int64
+        assert not (nbrs == np.arange(20_000)[:, None]).any()
+        rows = rng.choice(20_000, 50, replace=False)
+        np.testing.assert_array_equal(nbrs[rows],
+                                      knn_reference(positions, 16, rows))
+
     def test_simple_line(self):
         positions = np.zeros((4, 3))
         positions[:, 0] = [0.0, 1.0, 2.0, 10.0]

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ class TestLoadPly:
         path.write_text(ASCII_PLY.replace("element vertex 3", "element vertex 4"))
         with pytest.raises(PlyParseError, match="truncated at vertex 3 of 4"):
             load_ply(path)
+
+    def test_huge_ascii_vertex_count_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ply"
+        path.write_text(ASCII_PLY.replace("element vertex 3",
+                                          "element vertex 10000000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlyParseError, match="truncated at vertex 3 of"):
+                load_ply(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20  # a (10^7, 6) float64 array is 480 MB
 
     def test_truncated_binary_payload(self, tmp_path):
         path = tmp_path / "rt.ply"
