@@ -16,8 +16,8 @@ from .config import default_config, load_config, train_config
 from .errors import DataError, NumericError, UsageError
 from .experiment import (
     VoxelizedScenes,
-    _load_or_generate,
     generate_dataset,
+    load_split,
     run_experiment,
     run_phase,
     write_report_csv,
@@ -87,7 +87,7 @@ def _cmd_train(args) -> int:
             values["init_checkpoint"] = str(args.checkpoint)
         if values["init_checkpoint"]:
             state, _ = load_checkpoint(values["init_checkpoint"])
-    data = VoxelizedScenes(_load_or_generate(values)[0],
+    data = VoxelizedScenes(load_split(values, "train"),
                            train_config(values, phase))
     _, trace = run_phase(values, phase, data, state, out)
     print(f"{phase}: {len(trace)} steps; final loss {trace[-1][2]:.6f}; "
@@ -103,7 +103,7 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     state, _ = load_checkpoint(args.checkpoint)
     cfg = train_config(values, "finetune")
-    _, val_scenes = _load_or_generate(values)
+    val_scenes = load_split(values, "val")
     report = evaluate(state, val_scenes, cfg)
     write_report_csv(report, out / "report.csv")
     print(f"mIoU {report.mean_iou:.4f} over {len(val_scenes)} scenes; "

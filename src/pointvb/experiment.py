@@ -185,28 +185,23 @@ def write_report_csv(report: RunReport, path: Path) -> None:
         fh.write(f"mean,{report.mean_iou:.17g}\n")
 
 
-def _load_or_generate(values: dict) -> tuple[SceneSet, SceneSet]:
+def load_split(values: dict, split: str) -> SceneSet:
+    """The "train" or "val" scenes: read from data_dir, or generated from
+    the seed when data_dir is empty."""
     if values["data_dir"]:
-        root = Path(values["data_dir"])
-        train = load_scene_set(root / "train", values["num_classes"], "train")
-        val = load_scene_set(root / "val", values["num_classes"], "val")
-        return train, val
-    train = make_synthetic_dataset(
-        values["seed"], values["num_scenes"], values["points_per_scene"],
-        values["num_classes"], "train",
+        return load_scene_set(Path(values["data_dir"]) / split,
+                              values["num_classes"], split)
+    return make_synthetic_dataset(
+        values["seed"], values["num_scenes" if split == "train" else "val_scenes"],
+        values["points_per_scene"], values["num_classes"], split,
     )
-    val = make_synthetic_dataset(
-        values["seed"], values["val_scenes"], values["points_per_scene"],
-        values["num_classes"], "val",
-    )
-    return train, val
 
 
 def generate_dataset(values: dict, out_dir: Path) -> None:
     """`synth` subcommand: write train/val manifests to disk."""
-    train, val = _load_or_generate({**values, "data_dir": ""})
-    write_scene_set(train, out_dir / "train")
-    write_scene_set(val, out_dir / "val")
+    for split in ("train", "val"):
+        write_scene_set(load_split({**values, "data_dir": ""}, split),
+                        out_dir / split)
 
 
 def run_phase(
@@ -246,7 +241,7 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_scenes, val_scenes = _load_or_generate(values)
+    train_scenes, val_scenes = [load_split(values, s) for s in ("train", "val")]
 
     trace = []
     state = None

@@ -47,13 +47,17 @@ class EncoderParams:
 
 @dataclass
 class ForwardTape:
-    """Activations recorded by encoder_forward for the backward pass."""
+    """Activations recorded by encoder_forward for the backward pass; layer
+    l computed the points sets[l] (None: all M)."""
 
-    inputs: np.ndarray            # (M, 6) encoder input
-    pooling: sparse.csr_matrix    # (M, M) neighbor-mean operator
+    poolings: list[sparse.csr_matrix]  # hidden layer l: sets[l] -> sets[l + 1]
+    keeps: list[np.ndarray | slice]  # where sets[l + 1] sit in sets[l]
     pre_activations: list[np.ndarray]
     layer_inputs: list[np.ndarray]
     params: EncoderParams
+    sets: list[np.ndarray | None]
+    order: np.ndarray | None      # the caller's rows[order] == sets[-1]
+    size: int                     # M
 
 
 def init_encoder(
@@ -86,84 +90,110 @@ def _encoder_input(cloud: PointCloud) -> np.ndarray:
     return np.concatenate([cloud.positions, cloud.colors / COLOR_SCALE], axis=1)
 
 
-def pooling_operator(neighbors: np.ndarray) -> sparse.csr_matrix:
-    """Sparse (M, M) row-stochastic operator averaging each point's neighbors.
+def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
+                     cols: np.ndarray | None = None) -> sparse.csr_matrix:
+    """Sparse row-stochastic operator averaging each point's neighbors, (M, M)
+    or its block at sorted point indices rows x cols (cols holding every
+    neighbor of rows), each row's columns ascending. k = 0 gives zero."""
+    if rows is not None:  # cloud index -> position in cols
+        at = np.zeros(len(neighbors), dtype=np.intp)
+        at[cols] = np.arange(len(cols))
+        neighbors = at[neighbors[rows]]
+    n, k = neighbors.shape
+    return sparse.csr_matrix(
+        (np.full(n * k, 1.0 / max(k, 1)), np.sort(neighbors, axis=1).ravel(),
+         np.arange(n + 1) * k), shape=(n, n if cols is None else len(cols)))
 
-    k = 0 gives the zero operator.
-    """
-    m, k = neighbors.shape
-    if k == 0:
-        return sparse.csr_matrix((m, m))
-    rows = np.repeat(np.arange(m), k)
-    data = np.full(m * k, 1.0 / k)
-    return sparse.csr_matrix((data, (rows, neighbors.ravel())), shape=(m, m))
+
+def pad_rows(a: np.ndarray, rows: np.ndarray | None, m: int) -> np.ndarray:
+    """(m, ...) array holding a at rows and zeros elsewhere; a when rows is None."""
+    if rows is None:
+        return a
+    out = np.zeros((m,) + a.shape[1:])
+    out[rows] = a
+    return out
 
 
 def encoder_forward(
     params: EncoderParams,
     cloud: PointCloud,
     neighbors: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardTape]:
-    """Per-point features (M, D) plus the tape needed for backprop.
-
-    neighbors may carry precomputed kNN indices for the cloud's positions;
-    they are recomputed otherwise. k must be smaller than M.
-    """
+    """Per-point features (M, D), or those of the distinct point indices
+    `rows` in their order, plus the tape needed for backprop. Each layer
+    computes only what the next reads: sorted(rows), then those rows and
+    their neighbors, layer by layer inward. neighbors may carry precomputed
+    kNN indices for the cloud's positions; k must be smaller than M."""
+    m = len(cloud)
     if neighbors is None:
         neighbors = knn_indices(cloud.positions, params.knn)
-    elif neighbors.shape != (len(cloud), params.knn):
+    elif neighbors.shape != (m, params.knn):
         raise DataError(
             f"neighbors shape {neighbors.shape} does not match "
-            f"({len(cloud)}, {params.knn})"
+            f"({m}, {params.knn})"
         )
-    pooling = pooling_operator(neighbors)
     x = _encoder_input(cloud)
-    layer_inputs = []
-    pre_activations = []
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite encoder input")
+    sets: list[np.ndarray | None] = [None] * len(params.weights)
+    order = None
+    if rows is not None:
+        sets[-1], order = np.unique(rows, return_index=True)
+        if len(order) < max(len(rows), 1) or sets[-1][0] < 0 or sets[-1][-1] >= m:
+            raise DataError("rows must be one or more distinct point indices")
+        for layer in range(len(sets) - 2, -1, -1):
+            field = np.zeros(m, dtype=bool)
+            field[sets[layer + 1]] = field[neighbors[sets[layer + 1]]] = True
+            sets[layer] = np.flatnonzero(field)
+        x = x[sets[0]]
+    layer_inputs, pre_activations, poolings, keeps = [], [], [], []
+    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         layer_inputs.append(x)
         z = x @ w + b
         pre_activations.append(z)
         a = np.maximum(z, 0.0)
-        x = np.concatenate([a, pooling @ a], axis=1)
+        poolings.append(pooling_operator(neighbors, sets[layer + 1], sets[layer]))
+        keeps.append(slice(None) if rows is None else
+                     np.searchsorted(sets[layer], sets[layer + 1]))
+        x = np.concatenate([a[keeps[-1]], poolings[-1] @ a], axis=1)
     layer_inputs.append(x)
     features = x @ params.weights[-1] + params.biases[-1]
     if not np.isfinite(features).all():
         raise NumericError("non-finite encoder output")
-    tape = ForwardTape(
-        inputs=layer_inputs[0],
-        pooling=pooling,
-        pre_activations=pre_activations,
-        layer_inputs=layer_inputs,
-        params=params,
-    )
-    return features, tape
+    if order is not None:
+        features[order] = features.copy()
+    return features, ForwardTape(poolings, keeps, pre_activations, layer_inputs,
+                                 params, sets, order, m)
 
 
 def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of <upstream, features> w.r.t. every encoder parameter."""
+    """Exact gradients of <upstream, features> w.r.t. every encoder parameter.
+    Weight and bias sums span all M rows, zero where the forward computed
+    none, so they add the terms of an all-rows pass in its order."""
     params = tape.params
     d = params.feature_dim
-    if upstream.shape != (len(tape.inputs), d):
-        raise DataError(
-            f"upstream shape {upstream.shape} does not match "
-            f"({len(tape.inputs)}, {d})"
-        )
-    pooling_t = tape.pooling.T.tocsr()
+    n = len(tape.layer_inputs[-1])
+    if upstream.shape != (n, d):
+        raise DataError(f"upstream shape {upstream.shape} does not match ({n}, {d})")
+    if tape.order is not None:
+        upstream = upstream[tape.order]
     grads: dict[str, np.ndarray] = {}
-    last = len(params.weights) - 1
-    grads[f"enc.w{last}"] = tape.layer_inputs[-1].T @ upstream
-    grads[f"enc.b{last}"] = upstream.sum(axis=0)
-    dx = upstream @ params.weights[-1].T
-
-    for layer in range(last - 1, -1, -1):
-        width = params.weights[layer].shape[1]
-        # transpose of the neighbor-mean pooling routes the pooled half back
-        da = dx[:, :width] + pooling_t @ dx[:, width:]
-        dz = da * (tape.pre_activations[layer] > 0.0)
-        grads[f"enc.w{layer}"] = tape.layer_inputs[layer].T @ dz
-        grads[f"enc.b{layer}"] = dz.sum(axis=0)
-        dx = dz @ params.weights[layer].T
+    for layer in range(len(params.weights) - 1, -1, -1):
+        if layer < len(tape.poolings):
+            width = params.weights[layer].shape[1]
+            # transpose of the neighbor-mean pooling routes the pooled half back
+            da = tape.poolings[layer].T @ dx[:, width:]
+            da[tape.keeps[layer]] += dx[:, :width]
+            dz = da * (tape.pre_activations[layer] > 0.0)
+        else:
+            dz = upstream
+        full = pad_rows(dz, tape.sets[layer], tape.size)
+        grads[f"enc.w{layer}"] = pad_rows(tape.layer_inputs[layer], tape.sets[layer],
+                                          tape.size).T @ full
+        grads[f"enc.b{layer}"] = full.sum(axis=0)
+        if layer:  # a C-ordered w.T: NumPy then sums a few rows as it sums all M
+            dx = dz @ params.weights[layer].T.copy()
     return grads
 
 

@@ -5,6 +5,7 @@ persistence."""
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -21,6 +22,7 @@ from .nncore import (
     encoder_forward,
     encoder_params_dict,
     init_encoder,
+    pad_rows,
 )
 from .pcio import PointCloud, SparseLabelSet
 from .vbloss import VbConfig, cross_correlation, vb_loss_backward
@@ -170,22 +172,17 @@ def pair_loss_and_grads(
     neighbors is the kNN graph both views share; each view builds its own
     when it is None.
     """
-    feats_p, tape_p = encoder_forward(encoder, view_p, neighbors)
-    feats_q, tape_q = encoder_forward(encoder, view_q, neighbors)
-    loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
-                                            vb_cfg)
+    feats_p, tape_p = encoder_forward(encoder, view_p, neighbors, sample)
+    feats_q, tape_q = encoder_forward(encoder, view_q, neighbors, sample)
+    loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, vb_cfg)
     if not np.isfinite(loss):
-        z = cross_correlation(feats_p[sample], feats_q[sample]).z
+        z = cross_correlation(feats_p, feats_q).z
         raise NumericError(
             f"non-finite pretrain loss; "
             f"cross-correlation extrema [{np.nanmin(z)}, {np.nanmax(z)}]"
         )
-    upstream_p = np.zeros_like(feats_p)
-    upstream_p[sample] = grad_p
-    upstream_q = np.zeros_like(feats_q)
-    upstream_q[sample] = grad_q
-    grads = encoder_backward(tape_p, upstream_p)
-    for name, g in encoder_backward(tape_q, upstream_q).items():
+    grads = encoder_backward(tape_p, grad_p)
+    for name, g in encoder_backward(tape_q, grad_q).items():
         grads[name] += g
     return loss, grads
 
@@ -262,13 +259,16 @@ def finetune_grads(
     if not labels.present_mask.any():
         state.skipped_scenes += 1
         return None
-    features, tape = encoder_forward(state.encoder, cloud, neighbors)
-    logits = features @ state.head.weight + state.head.bias
+    rows = np.flatnonzero(labels.present_mask)
+    features, tape = encoder_forward(state.encoder, cloud, neighbors, rows)
+    # logits and the head's sums span all M rows, zero where unlabeled
+    logits = pad_rows(features @ state.head.weight + state.head.bias, rows,
+                      len(cloud))
     loss, dlogits = masked_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite fine-tune loss at step {state.step}")
-    grads = encoder_backward(tape, dlogits @ state.head.weight.T)
-    grads["head.w"] = features.T @ dlogits
+    grads = encoder_backward(tape, dlogits[rows] @ state.head.weight.T.copy())
+    grads["head.w"] = pad_rows(features, rows, len(cloud)).T @ dlogits
     grads["head.b"] = dlogits.sum(axis=0)
     return loss, grads
 
@@ -315,7 +315,12 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str | Path) -> No
             blob += struct.pack("<Q", dim)
         blob += tensor.astype("<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    Path(path).write_bytes(bytes(blob))
+    tmp = Path(f"{path}.tmp")  # renamed over path only once written whole
+    try:
+        tmp.write_bytes(bytes(blob))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[TrainState, TrainConfig]:

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 import zlib
 
@@ -184,6 +185,22 @@ class TestCli:
                      "pretrain.ckpt", "final.ckpt"):
             assert (out / name).read_bytes() == (full / name).read_bytes(), \
                 name
+
+    def test_eval_reads_only_the_validation_split(self, tiny_config_file,
+                                                  tmp_path):
+        data = tmp_path / "out" / "data"
+        assert main(["synth", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        on_disk = tmp_path / "on_disk.cfg"
+        on_disk.write_text(TINY_CONFIG + f"data_dir = {data}\n")
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(on_disk), "--out", str(run)]) == 0
+        shutil.rmtree(data / "train")
+        evaluated = tmp_path / "eval"
+        assert main(["eval", "--config", str(on_disk), "--out", str(evaluated),
+                     "--checkpoint", str(run / "final.ckpt")]) == 0
+        assert (evaluated / "report.csv").read_bytes() == \
+            (run / "report.csv").read_bytes()
 
     def test_synth_writes_dataset(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"

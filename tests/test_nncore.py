@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pointvb.errors import DataError, NumericError
-from pointvb.geometry import knn_indices
+from pointvb.geometry import knn_indices, voxel_downsample
 from pointvb.nncore import (
     EncoderParams,
     encoder_backward,
@@ -11,8 +12,9 @@ from pointvb.nncore import (
     gradient_check,
     init_encoder,
     normalize_columns,
+    pooling_operator,
 )
-from pointvb.pcio import PointCloud
+from pointvb.pcio import PointCloud, generate_synthetic_scene
 
 
 def random_cloud(rng, m):
@@ -23,7 +25,7 @@ def params_of(encoder):
     return encoder_params_dict(encoder)
 
 
-def encoder_loss_fn(cloud, upstream, template):
+def encoder_loss_fn(cloud, upstream, template, rows=None):
     """<upstream, features> as a function of the parameter dict."""
 
     def loss_fn(params):
@@ -32,7 +34,7 @@ def encoder_loss_fn(cloud, upstream, template):
             [params[f"enc.b{i}"] for i in range(len(template.biases))],
             template.knn,
         )
-        features, _ = encoder_forward(enc, cloud)
+        features, _ = encoder_forward(enc, cloud, rows=rows)
         return float(np.sum(upstream * features))
 
     return loss_fn
@@ -101,7 +103,7 @@ class TestEncoderBackward:
         upstream = rng.normal(size=(10, 2))
         grads = encoder_backward(tape, upstream)
         np.testing.assert_allclose(
-            grads["enc.w0"], tape.inputs.T @ upstream, atol=1e-12)
+            grads["enc.w0"], tape.layer_inputs[0].T @ upstream, atol=1e-12)
         np.testing.assert_allclose(
             grads["enc.b0"], upstream.sum(axis=0), atol=1e-12)
 
@@ -128,6 +130,83 @@ class TestEncoderBackward:
         _, tape = encoder_forward(enc, cloud)
         with pytest.raises(DataError):
             encoder_backward(tape, np.zeros((12, 5)))
+
+
+def acceptance_scene(seed):
+    """A voxelized 2,048-point scene (about 1,700 voxels), its kNN graph and
+    an encoder of the acceptance shapes: widths (64, 64), D = 32, k = 16."""
+    cloud, labels = generate_synthetic_scene(seed, 2048, 4)
+    voxels = voxel_downsample(cloud, labels, 0.05)[0]
+    enc = init_encoder(np.random.default_rng(seed), 32, (64, 64), knn=16)
+    return voxels, knn_indices(voxels.positions, 16), enc
+
+
+class TestRestrictedRows:
+    def test_pooling_operator_matches_coo_reference(self):
+        rng = np.random.default_rng(12)
+        cloud = random_cloud(rng, 60)
+        nbrs = knn_indices(cloud.positions, 5)
+        reference = sparse.csr_matrix(
+            (np.full(300, 0.2), (np.repeat(np.arange(60), 5), nbrs.ravel())),
+            shape=(60, 60))
+        full = pooling_operator(nbrs)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(full, name),
+                                          getattr(reference, name))
+        rows = np.sort(rng.choice(60, 10, replace=False))
+        cols = np.union1d(rows, nbrs[rows])
+        block = pooling_operator(nbrs, rows, cols)
+        np.testing.assert_array_equal(block.toarray(),
+                                      reference.toarray()[rows][:, cols])
+        assert (np.diff(block.indices.reshape(10, 5), axis=1) > 0).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_equal_full_forward_at_acceptance_shapes(self, seed):
+        voxels, nbrs, enc = acceptance_scene(seed)
+        m = len(voxels)
+        full, _ = encoder_forward(enc, voxels, nbrs)
+        rng = np.random.default_rng(seed)
+        # one row goes through NumPy's matrix-vector path, whose sums may
+        # differ from the matrix product's in the last bit: sizes start at 2
+        for size in (2, 20, 256, int(rng.integers(2, m)), m):
+            rows = rng.choice(m, size, replace=False)
+            features, _ = encoder_forward(enc, voxels, nbrs, rows)
+            np.testing.assert_array_equal(features, full[rows])
+
+    @pytest.mark.parametrize("widths, knn", [((8, 8), 4), ((8,), 0), ((), 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backward_matches_finite_differences(self, widths, knn, seed):
+        rng = np.random.default_rng(20 + seed)
+        cloud = random_cloud(rng, 24)
+        enc = init_encoder(rng, 5, widths, knn=knn)
+        rows = rng.choice(24, int(rng.integers(1, 12)), replace=False)
+        features, tape = encoder_forward(enc, cloud, rows=rows)
+        assert features.shape == (len(rows), 5)
+        upstream = rng.normal(size=features.shape)
+        report = gradient_check(
+            encoder_loss_fn(cloud, upstream, enc, rows), params_of(enc),
+            encoder_backward(tape, upstream), rng=rng,
+        )
+        assert report.passed, f"max rel error {report.max_rel_error}"
+
+    @pytest.mark.parametrize("rows", [[], [3, 3], [-1, 2], [2, 20]])
+    def test_rows_must_be_distinct_cloud_indices(self, rows):
+        rng = np.random.default_rng(13)
+        cloud = random_cloud(rng, 20)
+        enc = init_encoder(rng, 4, (8,), knn=3)
+        with pytest.raises(DataError):
+            encoder_forward(enc, cloud, rows=np.array(rows, dtype=np.int64))
+
+    def test_nan_outside_receptive_field_raises(self):
+        rng = np.random.default_rng(14)
+        cloud = random_cloud(rng, 200)
+        enc = init_encoder(rng, 4, (8,), knn=3)
+        rows = np.array([0, 1])
+        _, tape = encoder_forward(enc, cloud, rows=rows)
+        outside = np.setdiff1d(np.arange(200), tape.sets[0])[0]
+        cloud.colors[outside, 1] = np.nan
+        with pytest.raises(NumericError):
+            encoder_forward(enc, cloud, rows=rows)
 
 
 class TestGradientCheck:

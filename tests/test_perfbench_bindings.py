@@ -10,15 +10,30 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from pointvb.experiment import (
+    VoxelizedScenes,
+    finetune,
+    make_synthetic_dataset,
+    pretrain,
+)
+from pointvb.training import TrainConfig, attach_head, init_state
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_binding_resolves(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the class is built
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_resolves(tracer):
     bindings = [b for op in tracer.OPS for b in op.bindings]
     bindings += [tracer.STEP_BINDING, tracer.SCENE_BINDING, tracer.CLI_BINDING]
     missing = []
@@ -27,3 +42,24 @@ def test_every_traced_binding_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(module_name), attr, None)):
             missing.append(binding)
     assert len(bindings) > 3 and not missing, missing
+
+
+def test_training_steps_record_every_step_op(tracer):
+    """Two pretrain and two fine-tune steps under the full tracer call each
+    op of a training step at least once, so no step can bypass a traced
+    name unnoticed."""
+    scenes = make_synthetic_dataset(0, 1, 256, 4)
+    cfg = TrainConfig(iterations=2, lr0=0.01, fps_count=16, feature_dim=8,
+                      hidden_widths=(8,), knn=4)
+    with tracer.Tracer(full=True) as spans:
+        data = VoxelizedScenes(scenes, cfg)
+        state = init_state(cfg)
+        pretrain(state, data, cfg)
+        cfg.phase = "finetune"
+        attach_head(state, cfg)
+        finetune(state, data, cfg)
+    calls = {name: stats.calls for name, stats in tracer.op_stats(spans.spans).items()}
+    assert calls["training.pretrain_step"] == calls["training.finetune_step"] == 2
+    for name in ("geometry.fps", "nncore.forward", "nncore.backward",
+                 "nncore.pooling_build", "vbloss.loss_backward", "training.sgd"):
+        assert calls.get(name, 0) >= 1, name

@@ -1,13 +1,16 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pointvb import training
 from pointvb.errors import CheckpointError, DataError
 from pointvb.experiment import _accumulated_step
-from pointvb.geometry import voxel_downsample
-from pointvb.nncore import encoder_forward, gradient_check
-from pointvb.pcio import SparseLabelSet, generate_synthetic_scene
+from pointvb.geometry import knn_indices, voxel_downsample
+from pointvb.nncore import encoder_backward, encoder_forward, gradient_check
+from pointvb.pcio import SparseLabelSet, generate_synthetic_scene, subsample_labels
+from pointvb.vbloss import vb_loss_backward
 from pointvb.training import (
     CHECKPOINT_MAGIC,
     HeadParams,
@@ -316,6 +319,78 @@ class TestFinetune:
         assert report.passed, f"max rel error {report.max_rel_error}"
 
 
+def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
+                                   neighbors=None):
+    """pair_loss_and_grads through all-rows forwards and upstreams that are
+    zero off the sample."""
+    feats_p, tape_p = encoder_forward(encoder, view_p, neighbors)
+    feats_q, tape_q = encoder_forward(encoder, view_q, neighbors)
+    loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
+                                            vb_cfg)
+    grads = None
+    for tape, grad in ((tape_p, grad_p), (tape_q, grad_q)):
+        upstream = np.zeros_like(feats_p)
+        upstream[sample] = grad
+        view_grads = encoder_backward(tape, upstream)
+        if grads is None:
+            grads = view_grads
+        else:
+            for name, g in view_grads.items():
+                grads[name] += g
+    return loss, grads
+
+
+def full_graph_finetune_grads(state, cloud, labels, neighbors):
+    """finetune_grads through an all-rows forward; the head's logits and
+    gradients span every row."""
+    features, tape = encoder_forward(state.encoder, cloud, neighbors)
+    logits = features @ state.head.weight + state.head.bias
+    loss, dlogits = masked_cross_entropy(logits, labels)
+    grads = encoder_backward(tape, dlogits @ state.head.weight.T)
+    grads["head.w"] = features.T @ dlogits
+    grads["head.b"] = dlogits.sum(axis=0)
+    return loss, grads
+
+
+class TestFullGraphReference:
+    """Both phases compute only the rows their loss reads, at the acceptance
+    shapes (widths (64, 64), D = 32, k = 16, H = 256), yet give the bytes of
+    the all-rows pass."""
+
+    @staticmethod
+    def scene(seed):
+        cloud, labels = generate_synthetic_scene(seed, 2048, 4)
+        voxels, merged, _ = voxel_downsample(cloud, labels, 0.05)
+        return voxels, merged, knn_indices(voxels.positions, 16)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a[0] == b[0]
+        assert sorted(a[1]) == sorted(b[1])
+        for name in a[1]:
+            np.testing.assert_array_equal(a[1][name], b[1][name], err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pretrain_grads(self, seed, monkeypatch):
+        cloud, _, nbrs = self.scene(seed)
+        cfg = TrainConfig(seed=seed)
+        restricted = pretrain_grads(init_state(cfg), cloud, cfg, nbrs)
+        monkeypatch.setattr(training, "pair_loss_and_grads",
+                            full_graph_pair_loss_and_grads)
+        full = pretrain_grads(init_state(cfg), cloud, cfg, nbrs)
+        self.assert_same(restricted, full)
+
+    @pytest.mark.parametrize("labeled", [2, 20, None])
+    def test_finetune_grads(self, labeled):
+        cloud, labels, nbrs = self.scene(3)
+        if labeled is not None:
+            labels = subsample_labels(labels, labeled, 5)
+        cfg = TrainConfig(phase="finetune")
+        state = init_state(cfg, with_head=True)
+        self.assert_same(finetune_grads(state, cloud, labels, cfg, nbrs),
+                         full_graph_finetune_grads(state, cloud, labels, nbrs))
+
+
 class TestAttachHead:
     def test_resets_step_and_buffers(self):
         cloud, _ = tiny_scene()
@@ -369,6 +444,27 @@ class TestCheckpoint:
         resumed += [pretrain_step(state, cloud, cfg2) for _ in range(6)]
 
         assert straight == resumed
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        cfg = tiny_config()
+        state = init_state(cfg, with_head=True)
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(state, cfg, path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(target, data):
+            with open(target, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        state.step = 3
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_checkpoint(state, cfg, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
