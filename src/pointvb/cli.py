@@ -86,7 +86,8 @@ def _cmd_train(args) -> int:
         if args.checkpoint is not None:
             values["init_checkpoint"] = str(args.checkpoint)
         if values["init_checkpoint"]:
-            state, _ = load_checkpoint(values["init_checkpoint"])
+            state, _ = load_checkpoint(values["init_checkpoint"],
+                                       train_config(values, phase))
     data = VoxelizedScenes(load_split(values, "train"),
                            train_config(values, phase))
     _, trace = run_phase(values, phase, data, state, out)
@@ -101,8 +102,8 @@ def _cmd_eval(args) -> int:
         raise UsageError("eval requires --checkpoint")
     out = Path(values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    state, _ = load_checkpoint(args.checkpoint)
     cfg = train_config(values, "finetune")
+    state, _ = load_checkpoint(args.checkpoint, cfg)
     val_scenes = load_split(values, "val")
     report = evaluate(state, val_scenes, cfg)
     write_report_csv(report, out / "report.csv")

@@ -57,7 +57,7 @@ SCHEMA: dict[str, tuple] = {
     "labels_per_scene": (int, 20),
     "init_checkpoint": (str, ""),
     # optimizer
-    "momentum": (float, 0.9),
+    "momentum": (float, 0.0),
     "poly_power": (float, 0.9),
     "batch_size": (int, 1),
 }
@@ -99,7 +99,11 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    return parse_config_text(text, str(path))
 
 
 def train_config(values: dict, phase: str) -> TrainConfig:

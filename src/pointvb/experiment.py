@@ -116,23 +116,32 @@ def _retain_freed_heap() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc pairs them
 
 
-def pretrain(
-    state: TrainState, data: VoxelizedScenes, cfg: TrainConfig
-) -> list[tuple[int, float, float]]:
-    """Run cfg.iterations self-supervised steps; returns (step, lr, loss)."""
+def _train(state: TrainState, data: VoxelizedScenes, cfg: TrainConfig,
+           scene_grads) -> list[tuple[int, float, float]]:
+    """The loop of both phases: steps on scenes drawn from state.rng until
+    cfg.iterations; scene_grads(i) gives scene i's (loss, grads) or None.
+    Returns (step, lr, loss) for every step that ran."""
     _retain_freed_heap()
+
+    def compute():
+        return scene_grads(int(state.rng.integers(len(data))))
+
     trace = []
     while state.step < cfg.iterations:
         step = state.step
         lr = poly_lr(step, cfg)
-
-        def compute():
-            i = int(state.rng.integers(len(data)))
-            return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i])
-
         loss = _accumulated_step(state, cfg, compute)
-        trace.append((step, lr, loss))
+        if loss is not None:
+            trace.append((step, lr, loss))
     return trace
+
+
+def pretrain(
+    state: TrainState, data: VoxelizedScenes, cfg: TrainConfig
+) -> list[tuple[int, float, float]]:
+    """Run cfg.iterations self-supervised steps; returns (step, lr, loss)."""
+    return _train(state, data, cfg, lambda i: pretrain_grads(
+        state, data.clouds[i], cfg, data.neighbors[i]))
 
 
 def finetune(
@@ -144,21 +153,8 @@ def finetune(
     are skipped and counted."""
     if not any(lbl.present_mask.any() for lbl in data.labels):
         raise DataError("no scene carries any labeled voxel")
-    _retain_freed_heap()
-    trace = []
-    while state.step < cfg.iterations:
-        step = state.step
-        lr = poly_lr(step, cfg)
-
-        def compute():
-            i = int(state.rng.integers(len(data)))
-            return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
-                                  data.neighbors[i])
-
-        loss = _accumulated_step(state, cfg, compute)
-        if loss is not None:
-            trace.append((step, lr, loss))
-    return trace
+    return _train(state, data, cfg, lambda i: finetune_grads(
+        state, data.clouds[i], data.labels[i], cfg, data.neighbors[i]))
 
 
 def sparsify_scenes(scenes: SceneSet, k: int, seed: int) -> SceneSet:
@@ -246,7 +242,8 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     trace = []
     state = None
     if values["init_checkpoint"]:
-        state, _ = load_checkpoint(values["init_checkpoint"])
+        state, _ = load_checkpoint(values["init_checkpoint"],
+                                   train_config(values, "finetune"))
     data = None  # both phases read the same voxel_size and knn
     for phase in ("pretrain", "finetune"):
         if values[phase] and (phase == "finetune" or state is None):
@@ -261,8 +258,6 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
         raise DataError("no classification head trained; cannot evaluate")
 
     report = evaluate(state, val_scenes, train_config(values, "finetune"))
-    report.config = dict(values)
-    report.config["hidden_widths"] = list(values["hidden_widths"])
     write_trace_csv(trace, out / "trace.csv")
     write_report_csv(report, out / "report.csv")
     return report

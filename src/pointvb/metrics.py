@@ -65,10 +65,8 @@ def miou(cm: ConfusionMatrix) -> tuple[list[float | None], float]:
 
 @dataclass
 class RunReport:
-    """Everything one experiment run reports."""
+    """Per-class and mean IoU of one evaluation."""
 
-    config: dict
-    seed: int
     per_class_iou: list[float | None]
     mean_iou: float
 
@@ -110,9 +108,4 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     if not any_truth:
         raise DataError("no scene carries ground-truth labels")
     per_class, mean = miou(cm)
-    return RunReport(
-        config={},
-        seed=cfg.seed,
-        per_class_iou=per_class,
-        mean_iou=mean,
-    )
+    return RunReport(per_class, mean)

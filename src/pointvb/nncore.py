@@ -57,7 +57,6 @@ class ForwardTape:
     params: EncoderParams
     sets: list[np.ndarray | None]
     order: np.ndarray | None      # the caller's rows[order] == sets[-1]
-    size: int                     # M
 
 
 def init_encoder(
@@ -103,15 +102,6 @@ def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
     return sparse.csr_matrix(
         (np.full(n * k, 1.0 / max(k, 1)), np.sort(neighbors, axis=1).ravel(),
          np.arange(n + 1) * k), shape=(n, n if cols is None else len(cols)))
-
-
-def pad_rows(a: np.ndarray, rows: np.ndarray | None, m: int) -> np.ndarray:
-    """(m, ...) array holding a at rows and zeros elsewhere; a when rows is None."""
-    if rows is None:
-        return a
-    out = np.zeros((m,) + a.shape[1:])
-    out[rows] = a
-    return out
 
 
 def encoder_forward(
@@ -164,13 +154,12 @@ def encoder_forward(
     if order is not None:
         features[order] = features.copy()
     return features, ForwardTape(poolings, keeps, pre_activations, layer_inputs,
-                                 params, sets, order, m)
+                                 params, sets, order)
 
 
 def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of <upstream, features> w.r.t. every encoder parameter.
-    Weight and bias sums span all M rows, zero where the forward computed
-    none, so they add the terms of an all-rows pass in its order."""
+    """Exact gradients of <upstream, features> w.r.t. every encoder parameter;
+    each layer's weight and bias sums run over the rows it computed."""
     params = tape.params
     d = params.feature_dim
     n = len(tape.layer_inputs[-1])
@@ -188,12 +177,10 @@ def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.nd
             dz = da * (tape.pre_activations[layer] > 0.0)
         else:
             dz = upstream
-        full = pad_rows(dz, tape.sets[layer], tape.size)
-        grads[f"enc.w{layer}"] = pad_rows(tape.layer_inputs[layer], tape.sets[layer],
-                                          tape.size).T @ full
-        grads[f"enc.b{layer}"] = full.sum(axis=0)
-        if layer:  # a C-ordered w.T: NumPy then sums a few rows as it sums all M
-            dx = dz @ params.weights[layer].T.copy()
+        grads[f"enc.w{layer}"] = tape.layer_inputs[layer].T @ dz
+        grads[f"enc.b{layer}"] = dz.sum(axis=0)
+        if layer:
+            dx = dz @ params.weights[layer].T
     return grads
 
 

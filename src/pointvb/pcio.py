@@ -144,7 +144,7 @@ def _parse_ply_header(raw: bytes, path: str):
         elif tokens[0] == "property":
             if not elements:
                 raise PlyParseError(f"{path}: property before element", offset)
-            if tokens[1] == "list":
+            if tokens[1:2] == ["list"]:
                 if len(tokens) != 5:
                     raise PlyParseError(f"{path}: malformed list property", offset)
                 elements[-1][2].append(("list", tokens[2], tokens[3], tokens[4]))
@@ -291,31 +291,34 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
     path = Path(path)
     labels = np.full(num_points, ABSENT, dtype=np.int64)
     previous = -1
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            tokens = body.split()
-            if len(tokens) != 2:
-                raise LabelError(f"{path}:{lineno}: expected 'index class', got '{body}'")
-            try:
-                index, cls = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise LabelError(f"{path}:{lineno}: non-integer field") from None
-            if index <= previous:
-                kind = "duplicate" if index == previous else "non-increasing"
-                raise LabelError(f"{path}:{lineno}: {kind} index {index}")
-            if index >= num_points:
-                raise LabelError(
-                    f"{path}:{lineno}: index {index} >= point count {num_points}"
-                )
-            if not 0 <= cls < num_classes:
-                raise LabelError(
-                    f"{path}:{lineno}: class {cls} outside [0, {num_classes})"
-                )
-            labels[index] = cls
-            previous = index
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise LabelError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        tokens = body.split()
+        if len(tokens) != 2:
+            raise LabelError(f"{path}:{lineno}: expected 'index class', got '{body}'")
+        try:
+            index, cls = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise LabelError(f"{path}:{lineno}: non-integer field") from None
+        if index <= previous:
+            kind = "duplicate" if index == previous else "non-increasing"
+            raise LabelError(f"{path}:{lineno}: {kind} index {index}")
+        if index >= num_points:
+            raise LabelError(
+                f"{path}:{lineno}: index {index} >= point count {num_points}"
+            )
+        if not 0 <= cls < num_classes:
+            raise LabelError(
+                f"{path}:{lineno}: class {cls} outside [0, {num_classes})"
+            )
+        labels[index] = cls
+        previous = index
     return SparseLabelSet(labels, num_classes)
 
 

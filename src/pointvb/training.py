@@ -22,7 +22,6 @@ from .nncore import (
     encoder_forward,
     encoder_params_dict,
     init_encoder,
-    pad_rows,
 )
 from .pcio import PointCloud, SparseLabelSet
 from .vbloss import VbConfig, cross_correlation, vb_loss_backward
@@ -107,19 +106,16 @@ class TrainState:
 def init_state(cfg: TrainConfig, with_head: bool = False) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
     encoder = init_encoder(rng, cfg.feature_dim, cfg.hidden_widths, cfg.knn)
-    head = None
+    state = TrainState(encoder, None, {}, 0, rng)
     if with_head:
-        head = HeadParams(
-            rng.normal(0.0, np.sqrt(1.0 / cfg.feature_dim),
-                       size=(cfg.feature_dim, cfg.num_classes)),
-            np.zeros(cfg.num_classes),
-        )
-    return TrainState(encoder, head, {}, 0, rng)
+        attach_head(state, cfg)
+    return state
 
 
 def attach_head(state: TrainState, cfg: TrainConfig) -> None:
-    """Add a fresh classification head (used when fine-tuning a pretrained
-    encoder) and drop stale momentum buffers."""
+    """Add a fresh classification head drawn from state.rng (to a new model,
+    or to a pretrained encoder before fine-tuning) and restart the step
+    count, dropping stale momentum buffers."""
     state.head = HeadParams(
         state.rng.normal(0.0, np.sqrt(1.0 / cfg.feature_dim),
                          size=(cfg.feature_dim, cfg.num_classes)),
@@ -261,14 +257,13 @@ def finetune_grads(
         return None
     rows = np.flatnonzero(labels.present_mask)
     features, tape = encoder_forward(state.encoder, cloud, neighbors, rows)
-    # logits and the head's sums span all M rows, zero where unlabeled
-    logits = pad_rows(features @ state.head.weight + state.head.bias, rows,
-                      len(cloud))
-    loss, dlogits = masked_cross_entropy(logits, labels)
+    logits = features @ state.head.weight + state.head.bias
+    loss, dlogits = masked_cross_entropy(
+        logits, SparseLabelSet(labels.labels[rows], labels.num_classes))
     if not np.isfinite(loss):
         raise NumericError(f"non-finite fine-tune loss at step {state.step}")
-    grads = encoder_backward(tape, dlogits[rows] @ state.head.weight.T.copy())
-    grads["head.w"] = pad_rows(features, rows, len(cloud)).T @ dlogits
+    grads = encoder_backward(tape, dlogits @ state.head.weight.T)
+    grads["head.w"] = features.T @ dlogits
     grads["head.b"] = dlogits.sum(axis=0)
     return loss, grads
 
@@ -323,7 +318,11 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str | Path) -> No
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path: str | Path) -> tuple[TrainState, TrainConfig]:
+def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
+                    ) -> tuple[TrainState, TrainConfig]:
+    """The state and config a checkpoint holds. With `expect`, the keys that
+    fix the model's shapes and inputs must match it: the encoder's, and
+    num_classes when the checkpoint has a head."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
@@ -377,6 +376,14 @@ def load_checkpoint(path: str | Path) -> tuple[TrainState, TrainConfig]:
         rng.bit_generator.state = meta["rng_state"]
         state = TrainState(encoder, head, buffers, meta["step"], rng,
                            meta["skipped_scenes"])
-        return state, cfg
-    except (KeyError, TypeError, ValueError, struct.error) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, struct.error) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
+    if expect is not None:
+        keys = ("feature_dim", "hidden_widths", "knn", "voxel_size") + \
+            ("num_classes",) * (head is not None)
+        for key in keys:
+            if getattr(cfg, key) != getattr(expect, key):
+                raise CheckpointError(
+                    f"{path}: checkpoint has {key} = {getattr(cfg, key)!r}, "
+                    f"the config {getattr(expect, key)!r}")
+    return state, cfg

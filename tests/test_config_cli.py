@@ -270,5 +270,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and "malformed checkpoint" in err
 
+    def test_default_config_trains(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out)]) == 0
+        mean = (out / "report.csv").read_text().strip().splitlines()[-1]
+        assert float(mean.split(",")[1]) >= 0.5
+
+    def test_finetune_rejects_checkpoint_of_another_width(
+            self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", str(tiny_config_file),
+                     "--out", str(out)]) == 0
+        narrow = tmp_path / "narrow.cfg"
+        narrow.write_text(TINY_CONFIG.replace("feature_dim = 8",
+                                              "feature_dim = 4"))
+        assert main(["finetune", "--config", str(narrow), "--out", str(out),
+                     "--checkpoint", str(out / "pretrain.ckpt")]) == 2
+        assert "feature_dim" in capsys.readouterr().err
+
+    def test_eval_rejects_checkpoint_of_other_classes(
+            self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(out)]) == 0
+        six = tmp_path / "six.cfg"
+        six.write_text(TINY_CONFIG + "num_classes = 6\n")
+        assert main(["eval", "--config", str(six), "--out", str(out),
+                     "--checkpoint", str(out / "final.ckpt")]) == 2
+        assert "num_classes" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert main(["explode"]) == 1

@@ -174,7 +174,7 @@ class TestEvaluate:
         assert first.mean_iou == second.mean_iou
         assert first.per_class_iou == second.per_class_iou
 
-    def test_evaluate_reports_seed(self):
+    def test_evaluate_returns_run_report(self):
         cfg = small_cfg()
         scenes = SceneSet(
             [generate_synthetic_scene(4, 256, 4)], split="val",
@@ -182,7 +182,7 @@ class TestEvaluate:
         )
         report = evaluate(init_state(cfg, with_head=True), scenes, cfg)
         assert isinstance(report, RunReport)
-        assert report.seed == cfg.seed
+        assert len(report.per_class_iou) == cfg.num_classes
         assert 0.0 <= report.mean_iou <= 1.0
 
     def test_class_count_mismatch_raises(self):

@@ -354,8 +354,9 @@ def full_graph_finetune_grads(state, cloud, labels, neighbors):
 
 class TestFullGraphReference:
     """Both phases compute only the rows their loss reads, at the acceptance
-    shapes (widths (64, 64), D = 32, k = 16, H = 256), yet give the bytes of
-    the all-rows pass."""
+    shapes (widths (64, 64), D = 32, k = 16, H = 256), yet give the loss of
+    the all-rows pass bit for bit and its gradients up to rounding: each
+    layer sums over the rows it computed, in another order."""
 
     @staticmethod
     def scene(seed):
@@ -368,7 +369,9 @@ class TestFullGraphReference:
         assert a[0] == b[0]
         assert sorted(a[1]) == sorted(b[1])
         for name in a[1]:
-            np.testing.assert_array_equal(a[1][name], b[1][name], err_msg=name)
+            scale = np.abs(b[1][name]).max()
+            np.testing.assert_allclose(a[1][name], b[1][name], rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_pretrain_grads(self, seed, monkeypatch):
