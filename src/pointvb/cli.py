@@ -25,7 +25,7 @@ from .experiment import (
 from .geometry import farthest_point_sampling
 from .metrics import evaluate
 from .nncore import encoder_forward, gradient_check
-from .pcio import generate_synthetic_scene
+from .pcio import generate_synthetic_scene, make_directory
 from .training import (
     init_state,
     load_checkpoint,
@@ -79,8 +79,7 @@ def _cmd_train(args) -> int:
     --checkpoint or init_checkpoint when one is given."""
     values = _values(args)
     phase = args.command
-    out = Path(values["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(values["out_dir"])
     state = None
     if phase == "finetune":
         if args.checkpoint is not None:
@@ -100,8 +99,7 @@ def _cmd_eval(args) -> int:
     values = _values(args)
     if args.checkpoint is None:
         raise UsageError("eval requires --checkpoint")
-    out = Path(values["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(values["out_dir"])
     cfg = train_config(values, "finetune")
     state, _ = load_checkpoint(args.checkpoint, cfg)
     val_scenes = load_split(values, "val")

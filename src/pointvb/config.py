@@ -6,6 +6,7 @@ and line. The full grammar is documented in docs/config.md.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -107,26 +108,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def train_config(values: dict, phase: str) -> TrainConfig:
-    """Build the phase hyperparameter block from a parsed config."""
-    if phase == "pretrain":
-        iterations, lr0 = values["pretrain_steps"], values["pretrain_lr"]
-    else:
-        iterations, lr0 = values["finetune_steps"], values["finetune_lr"]
-    return TrainConfig(
-        phase=phase,
-        iterations=iterations,
-        batch_size=values["batch_size"],
-        lr0=lr0,
-        momentum=values["momentum"],
-        poly_power=values["poly_power"],
-        off_diagonal_weight=values["off_diagonal_weight"],
-        fps_count=values["fps_count"],
-        feature_dim=values["feature_dim"],
-        hidden_widths=values["hidden_widths"],
-        knn=values["knn"],
-        seed=values["seed"],
-        voxel_size=values["voxel_size"],
-        labels_per_scene=values["labels_per_scene"],
-        num_classes=values["num_classes"],
-        squared_norm=values["squared_norm"],
-    )
+    """Build the phase hyperparameter block from a parsed config: every
+    TrainConfig field the schema names, and the phase's steps and rate."""
+    shared = {f.name: values[f.name] for f in fields(TrainConfig) if f.name in SCHEMA}
+    return TrainConfig(phase=phase, iterations=values[f"{phase}_steps"],
+                       lr0=values[f"{phase}_lr"], **shared)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .pcio import (
     SceneSet,
     generate_synthetic_scene,
     load_scene_set,
+    make_directory,
     subsample_labels,
     write_scene_set,
 )
@@ -26,6 +28,7 @@ from .training import (
     TrainState,
     attach_head,
     finetune_grads,
+    finetune_plan,
     init_state,
     load_checkpoint,
     poly_lr,
@@ -150,11 +153,14 @@ def finetune(
     cfg: TrainConfig,
 ) -> list[tuple[int, float, float]]:
     """Run cfg.iterations supervised steps; scenes without labeled voxels
-    are skipped and counted."""
+    are skipped and counted. A scene's finetune_plan is made in its first
+    step and kept for the phase."""
     if not any(lbl.present_mask.any() for lbl in data.labels):
         raise DataError("no scene carries any labeled voxel")
+    planned = functools.cache(lambda i: finetune_plan(
+        state.encoder, data.clouds[i], data.labels[i], data.neighbors[i]))
     return _train(state, data, cfg, lambda i: finetune_grads(
-        state, data.clouds[i], data.labels[i], cfg, data.neighbors[i]))
+        state, data.clouds[i], data.labels[i], cfg, planned=planned(i)))
 
 
 def sparsify_scenes(scenes: SceneSet, k: int, seed: int) -> SceneSet:
@@ -235,8 +241,7 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     mean IoU), and checkpoint files under out_dir. An init_checkpoint
     takes the place of pretraining.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(out_dir)
     train_scenes, val_scenes = [load_split(values, s) for s in ("train", "val")]
 
     trace = []

@@ -113,14 +113,15 @@ def voxel_downsample(
     if voxel_size <= 0:
         raise DataError("voxel_size must be positive")
     keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
-    _, first_pos, mapping = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    # re-number voxels by first occurrence so output order is stable
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    mapping = rank[mapping]
+    by_key = np.lexsort(keys.T)  # stable: each voxel's run starts at its first point
+    sorted_keys = keys[by_key]
+    starts = np.r_[True, (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)]
+    first_pos = by_key[starts]
+    # number voxels by first occurrence so output order is stable
+    rank = np.empty_like(first_pos)
+    rank[np.argsort(first_pos)] = np.arange(len(first_pos))
+    mapping = np.empty_like(by_key)
+    mapping[by_key] = rank[np.cumsum(starts) - 1]
 
     v = len(first_pos)
     counts = np.bincount(mapping, minlength=v).astype(np.float64)

@@ -46,17 +46,25 @@ class EncoderParams:
 
 
 @dataclass
-class ForwardTape:
-    """Activations recorded by encoder_forward for the backward pass; layer
-    l computed the points sets[l] (None: all M)."""
+class RowPlan:
+    """What encoder layer l computes over a kNN graph: the points sets[l]
+    (None: all M). It depends on the graph and rows alone, so it is reused."""
 
-    poolings: list[sparse.csr_matrix]  # hidden layer l: sets[l] -> sets[l + 1]
-    keeps: list[np.ndarray | slice]  # where sets[l + 1] sit in sets[l]
+    graph: tuple[int, int]               # the kNN graph's (M, k)
+    sets: list[np.ndarray | None]
+    poolings: list[sparse.csr_matrix]    # hidden layer l: sets[l] -> sets[l + 1]
+    transposes: list[sparse.csc_matrix]  # theirs, for the backward
+    keeps: list[np.ndarray | slice]      # where sets[l + 1] sit in sets[l]
+    order: np.ndarray | None             # the caller's rows[order] == sets[-1]
+
+
+@dataclass
+class ForwardTape(RowPlan):
+    """A plan and what one forward over it recorded for the backward."""
+
     pre_activations: list[np.ndarray]
     layer_inputs: list[np.ndarray]
     params: EncoderParams
-    sets: list[np.ndarray | None]
-    order: np.ndarray | None      # the caller's rows[order] == sets[-1]
 
 
 def init_encoder(
@@ -85,10 +93,6 @@ def encoder_params_dict(params: EncoderParams, prefix: str = "enc") -> dict[str,
     return out
 
 
-def _encoder_input(cloud: PointCloud) -> np.ndarray:
-    return np.concatenate([cloud.positions, cloud.colors / COLOR_SCALE], axis=1)
-
-
 def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
                      cols: np.ndarray | None = None) -> sparse.csr_matrix:
     """Sparse row-stochastic operator averaging each point's neighbors, (M, M)
@@ -104,57 +108,76 @@ def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
          np.arange(n + 1) * k), shape=(n, n if cols is None else len(cols)))
 
 
-def encoder_forward(
-    params: EncoderParams,
-    cloud: PointCloud,
-    neighbors: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, ForwardTape]:
-    """Per-point features (M, D), or those of the distinct point indices
-    `rows` in their order, plus the tape needed for backprop. Each layer
-    computes only what the next reads: sorted(rows), then those rows and
-    their neighbors, layer by layer inward. neighbors may carry precomputed
-    kNN indices for the cloud's positions; k must be smaller than M."""
-    m = len(cloud)
-    if neighbors is None:
-        neighbors = knn_indices(cloud.positions, params.knn)
-    elif neighbors.shape != (m, params.knn):
-        raise DataError(
-            f"neighbors shape {neighbors.shape} does not match "
-            f"({m}, {params.knn})"
-        )
-    x = _encoder_input(cloud)
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite encoder input")
-    sets: list[np.ndarray | None] = [None] * len(params.weights)
+def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
+              layers: int) -> RowPlan:
+    """Plan `layers` encoder layers over the kNN graph neighbors (M, k) to
+    compute all M rows (rows None) or the distinct point indices rows: each
+    layer what the next reads, sorted(rows), then those rows and their
+    neighbors, layer by layer inward."""
+    m = len(neighbors)
+    sets: list[np.ndarray | None] = [None] * layers
     order = None
     if rows is not None:
         sets[-1], order = np.unique(rows, return_index=True)
         if len(order) < max(len(rows), 1) or sets[-1][0] < 0 or sets[-1][-1] >= m:
             raise DataError("rows must be one or more distinct point indices")
-        for layer in range(len(sets) - 2, -1, -1):
+        for layer in range(layers - 2, -1, -1):
             field = np.zeros(m, dtype=bool)
             field[sets[layer + 1]] = field[neighbors[sets[layer + 1]]] = True
             sets[layer] = np.flatnonzero(field)
-        x = x[sets[0]]
-    layer_inputs, pre_activations, poolings, keeps = [], [], [], []
+    hidden = range(layers - 1)
+    poolings = [pooling_operator(neighbors, sets[i + 1], sets[i]) for i in hidden]
+    keeps = [slice(None) if rows is None else np.searchsorted(sets[i], sets[i + 1])
+             for i in hidden]
+    return RowPlan(neighbors.shape, sets, poolings, [p.T for p in poolings],
+                   keeps, order)
+
+
+def encoder_input(cloud: PointCloud, plan: RowPlan) -> np.ndarray:
+    """The plan's layer-0 rows of the encoder input: positions and colors
+    scaled to [0, 1]. Every row of the cloud must be finite."""
+    x = np.concatenate([cloud.positions, cloud.colors / COLOR_SCALE], axis=1)
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite encoder input")
+    return x if plan.sets[0] is None else x[plan.sets[0]]
+
+
+def encoder_forward(
+    params: EncoderParams,
+    cloud: PointCloud,
+    neighbors: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+    plan: RowPlan | None = None,
+    inputs: np.ndarray | None = None,
+) -> tuple[np.ndarray, ForwardTape]:
+    """Per-point features (M, D), or those of the distinct point indices
+    `rows` in their order, plus the tape needed for backprop. Layers compute
+    only what the next reads, as planned by plan_rows from neighbors, the
+    cloud's kNN indices (built when None; k must be smaller than M), or by
+    `plan`; inputs may hold the plan's encoder_input."""
+    m = len(cloud)
+    if plan is None:
+        if neighbors is None:
+            neighbors = knn_indices(cloud.positions, params.knn)
+        plan = plan_rows(neighbors, rows, len(params.weights))
+    if plan.graph != (m, params.knn):
+        raise DataError(f"graph shape {plan.graph} does not match ({m}, {params.knn})")
+    x = encoder_input(cloud, plan) if inputs is None else inputs
+    layer_inputs, pre_activations = [], []
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         layer_inputs.append(x)
         z = x @ w + b
         pre_activations.append(z)
         a = np.maximum(z, 0.0)
-        poolings.append(pooling_operator(neighbors, sets[layer + 1], sets[layer]))
-        keeps.append(slice(None) if rows is None else
-                     np.searchsorted(sets[layer], sets[layer + 1]))
-        x = np.concatenate([a[keeps[-1]], poolings[-1] @ a], axis=1)
+        x = np.concatenate([a[plan.keeps[layer]], plan.poolings[layer] @ a], axis=1)
     layer_inputs.append(x)
     features = x @ params.weights[-1] + params.biases[-1]
     if not np.isfinite(features).all():
         raise NumericError("non-finite encoder output")
-    if order is not None:
-        features[order] = features.copy()
-    return features, ForwardTape(poolings, keeps, pre_activations, layer_inputs,
-                                 params, sets, order)
+    if plan.order is not None:
+        features[plan.order] = features.copy()
+    return features, ForwardTape(**vars(plan), pre_activations=pre_activations,
+                                 layer_inputs=layer_inputs, params=params)
 
 
 def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.ndarray]:
@@ -172,7 +195,7 @@ def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.nd
         if layer < len(tape.poolings):
             width = params.weights[layer].shape[1]
             # transpose of the neighbor-mean pooling routes the pooled half back
-            da = tape.poolings[layer].T @ dx[:, width:]
+            da = tape.transposes[layer] @ dx[:, width:]
             da[tape.keeps[layer]] += dx[:, :width]
             dz = da * (tape.pre_activations[layer] > 0.0)
         else:

@@ -7,6 +7,7 @@ vertex data with x/y/z float and red/green/blue uint8 properties.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -286,7 +287,8 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
     """Load sparse labels from an `index class` text file.
 
     Unlisted points become ABSENT. Indices must be strictly increasing;
-    '#' starts a comment.
+    '#' starts a comment. A file of `index class` lines alone that passes
+    every check is parsed in one pass; any other goes line by line.
     """
     path = Path(path)
     labels = np.full(num_points, ABSENT, dtype=np.int64)
@@ -295,6 +297,12 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise LabelError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    if re.fullmatch(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*", text):  # 18 digits fit int64
+        index, cls = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2).T
+        if (np.diff(index) > 0).all() and (index < num_points).all() \
+                and (cls < num_classes).all():
+            labels[index] = cls
+            return SparseLabelSet(labels, num_classes)
     for lineno, line in enumerate(text.split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -324,9 +332,10 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
 
 def save_labels(labels: SparseLabelSet, path: str | Path) -> None:
     """Write present labels as `index class` lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        for index in np.flatnonzero(labels.present_mask):
-            fh.write(f"{index} {labels.labels[index]}\n")
+    rows = np.flatnonzero(labels.present_mask)
+    Path(path).write_text("".join(map("{} {}\n".format, rows.tolist(),
+                                      labels.labels[rows].tolist())),
+                          encoding="ascii")
 
 
 def generate_synthetic_scene(
@@ -394,10 +403,18 @@ def subsample_labels(labels: SparseLabelSet, k: int, seed: int) -> SparseLabelSe
     return SparseLabelSet(out, labels.num_classes)
 
 
+def make_directory(path: str | Path) -> Path:
+    """path as a directory, made with its parents when missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot make a directory: {exc.strerror}") from None
+    return Path(path)
+
+
 def write_scene_set(scenes: SceneSet, directory: str | Path) -> None:
     """Write scenes as scene_<id>.ply + scene_<id>.labels files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_directory(directory)
     for scene_id, (cloud, labels) in zip(scenes.scene_ids, scenes.scenes):
         save_ply(cloud, directory / f"scene_{scene_id}.ply", binary=True)
         save_labels(labels, directory / f"scene_{scene_id}.labels")

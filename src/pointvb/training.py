@@ -20,8 +20,10 @@ from .nncore import (
     EncoderParams,
     encoder_backward,
     encoder_forward,
+    encoder_input,
     encoder_params_dict,
     init_encoder,
+    plan_rows,
 )
 from .pcio import PointCloud, SparseLabelSet
 from .vbloss import VbConfig, cross_correlation, vb_loss_backward
@@ -165,11 +167,13 @@ def pair_loss_and_grads(
     """Viewpoint-bottleneck loss of two views at the shared `sample` rows
     and its gradients with respect to every encoder parameter.
 
-    neighbors is the kNN graph both views share; each view builds its own
-    when it is None.
+    neighbors is the kNN graph both views share, planned once for both;
+    each view builds and plans its own when it is None.
     """
-    feats_p, tape_p = encoder_forward(encoder, view_p, neighbors, sample)
-    feats_q, tape_q = encoder_forward(encoder, view_q, neighbors, sample)
+    plan = None if neighbors is None else \
+        plan_rows(neighbors, sample, len(encoder.weights))
+    feats_p, tape_p = encoder_forward(encoder, view_p, rows=sample, plan=plan)
+    feats_q, tape_q = encoder_forward(encoder, view_q, rows=sample, plan=plan)
     loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, vb_cfg)
     if not np.isfinite(loss):
         z = cross_correlation(feats_p, feats_q).z
@@ -241,25 +245,41 @@ def masked_cross_entropy(
     return loss, grad
 
 
+def finetune_plan(encoder: EncoderParams, cloud: PointCloud, labels: SparseLabelSet,
+                  neighbors: np.ndarray | None = None) -> tuple | None:
+    """What one scene's fine-tune steps share: the plan of its labeled voxels'
+    receptive field, its encoder_input and their labels (None if unlabeled)."""
+    rows = np.flatnonzero(labels.present_mask)
+    if len(rows) == 0:
+        return None
+    if neighbors is None:
+        neighbors = knn_indices(cloud.positions, encoder.knn)
+    plan = plan_rows(neighbors, rows, len(encoder.weights))
+    return plan, encoder_input(cloud, plan), SparseLabelSet(labels.labels[rows],
+                                                            labels.num_classes)
+
+
 def finetune_grads(
     state: TrainState,
     cloud: PointCloud,
     labels: SparseLabelSet,
     cfg: TrainConfig,
     neighbors: np.ndarray | None = None,
+    planned: tuple | None = None,
 ) -> tuple[float, dict[str, np.ndarray]] | None:
     """Loss and gradients for one voxelized scene, or None when the scene
-    has no labeled voxels (the skip is counted)."""
+    has no labeled voxels (the skip is counted); planned, the scene's
+    finetune_plan, is made here when None."""
     if state.head is None:
         raise DataError("finetune requires a classification head")
     if not labels.present_mask.any():
         state.skipped_scenes += 1
         return None
-    rows = np.flatnonzero(labels.present_mask)
-    features, tape = encoder_forward(state.encoder, cloud, neighbors, rows)
+    plan, inputs, labeled = planned or finetune_plan(state.encoder, cloud, labels,
+                                                     neighbors)
+    features, tape = encoder_forward(state.encoder, cloud, plan=plan, inputs=inputs)
     logits = features @ state.head.weight + state.head.bias
-    loss, dlogits = masked_cross_entropy(
-        logits, SparseLabelSet(labels.labels[rows], labels.num_classes))
+    loss, dlogits = masked_cross_entropy(logits, labeled)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite fine-tune loss at step {state.step}")
     grads = encoder_backward(tape, dlogits @ state.head.weight.T)
@@ -323,7 +343,10 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
     """The state and config a checkpoint holds. With `expect`, the keys that
     fix the model's shapes and inputs must match it: the encoder's, and
     num_classes when the checkpoint has a head."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from None
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     if zlib.crc32(raw[:-4]) != struct.unpack("<I", raw[-4:])[0]:

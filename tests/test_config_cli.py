@@ -299,5 +299,29 @@ class TestCli:
                      "--checkpoint", str(out / "final.ckpt")]) == 2
         assert "num_classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "finetune", "run"])
+    def test_missing_checkpoint_exit_code(self, command, tiny_config_file,
+                                          tmp_path, capsys):
+        missing = tmp_path / "absent.ckpt"
+        if command == "run":
+            config = tmp_path / "init.cfg"
+            config.write_text(TINY_CONFIG + f"init_checkpoint = {missing}\n")
+            argv = ["run", "--config", str(config)]
+        else:
+            argv = [command, "--config", str(tiny_config_file),
+                    "--checkpoint", str(missing)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(missing) in err
+
+    def test_out_naming_a_file_exit_code(self, tiny_config_file, tmp_path,
+                                         capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(taken) in err
+
     def test_unknown_subcommand(self):
         assert main(["explode"]) == 1

@@ -12,6 +12,7 @@ from pointvb.geometry import (
     farthest_point_sampling,
     knn_indices,
     sample_transform,
+    vote_labels,
     voxel_downsample,
 )
 from pointvb.pcio import ABSENT, PointCloud, SparseLabelSet
@@ -227,6 +228,52 @@ class TestVoxelDownsample:
         labels = SparseLabelSet(np.zeros(4, dtype=int), 4)
         with pytest.raises(DataError):
             voxel_downsample(cloud, labels, 0.0)
+
+
+def voxel_mapping_reference(positions, voxel_size):
+    """voxel_downsample's point-to-voxel mapping through np.unique(axis=0),
+    voxels numbered by first occurrence."""
+    keys = np.floor(positions / voxel_size).astype(np.int64)
+    _, first_pos, mapping = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+    rank = np.empty(len(first_pos), dtype=np.intp)
+    rank[np.argsort(first_pos, kind="stable")] = np.arange(len(first_pos))
+    return rank[mapping.reshape(-1)]
+
+
+class TestVoxelGrouping:
+    """The sorted-key grouping gives np.unique(axis=0)'s voxels and order."""
+
+    @staticmethod
+    def positions(kind, rng):
+        if kind == "random":
+            return rng.normal(scale=2.0, size=(500, 3))
+        if kind == "duplicated":  # repeated points, shuffled
+            return rng.permutation(np.repeat(rng.normal(size=(60, 3)), 5, axis=0))
+        if kind == "negative":
+            return rng.uniform(-7.0, -0.01, size=(400, 3))
+        # spans wider than 2**21 voxels a side, where keys packed into 21 bits
+        # an axis would collide, e.g. 0 and 2**21
+        base = np.concatenate([[[0.5, 0.5, 0.5], [2.0**21 + 0.5, 0.5, 0.5],
+                                [0.5, 2.0**22 + 0.5, 0.5], [-2.0**21 + 0.5, 0.5, 0.5]],
+                               rng.uniform(-3e6, 3e6, size=(196, 3))])
+        return rng.permutation(np.concatenate(
+            [base, base + rng.uniform(-0.2, 0.2, size=base.shape)]))
+
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "negative", "wide"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_unique_rows(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        positions = self.positions(kind, rng)
+        voxel = 1.0 if kind == "wide" else 0.25
+        cloud = PointCloud(positions, rng.uniform(0, 255, size=positions.shape))
+        labels = SparseLabelSet(rng.integers(-1, 4, size=len(positions)), 4)
+        out, merged, mapping = voxel_downsample(cloud, labels, voxel)
+        expected = voxel_mapping_reference(positions, voxel)
+        assert len(out) == expected.max() + 1 < len(positions)
+        np.testing.assert_array_equal(mapping, expected)
+        np.testing.assert_array_equal(merged.labels,
+                                      vote_labels(labels, expected).labels)
 
 
 def knn_reference(positions, k, rows=None):

@@ -8,10 +8,12 @@ from pointvb.nncore import (
     EncoderParams,
     encoder_backward,
     encoder_forward,
+    encoder_input,
     encoder_params_dict,
     gradient_check,
     init_encoder,
     normalize_columns,
+    plan_rows,
     pooling_operator,
 )
 from pointvb.pcio import PointCloud, generate_synthetic_scene
@@ -207,6 +209,32 @@ class TestRestrictedRows:
         cloud.colors[outside, 1] = np.nan
         with pytest.raises(NumericError):
             encoder_forward(enc, cloud, rows=rows)
+
+
+class TestRowPlan:
+    def test_reused_plan_and_inputs_equal_a_fresh_forward(self):
+        voxels, nbrs, enc = acceptance_scene(4)
+        rows = np.random.default_rng(4).choice(len(voxels), 20, replace=False)
+        plan = plan_rows(nbrs, rows, len(enc.weights))
+        inputs = encoder_input(voxels, plan)
+        fresh, fresh_tape = encoder_forward(enc, voxels, nbrs, rows)
+        upstream = np.random.default_rng(5).normal(size=fresh.shape)
+        for _ in range(2):
+            features, tape = encoder_forward(enc, voxels, plan=plan, inputs=inputs)
+            np.testing.assert_array_equal(features, fresh)
+            grads = encoder_backward(tape, upstream)
+            for name, g in encoder_backward(fresh_tape, upstream).items():
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+    @pytest.mark.parametrize("points, knn", [(30, 3), (20, 4)])
+    def test_plan_of_another_graph_raises(self, points, knn):
+        rng = np.random.default_rng(15)
+        enc = init_encoder(rng, 4, (8,), knn=3)
+        cloud = random_cloud(rng, 20)
+        other = knn_indices(random_cloud(rng, points).positions, knn)
+        plan = plan_rows(other, np.array([0, 1]), len(enc.weights))
+        with pytest.raises(DataError, match="graph shape"):
+            encoder_forward(enc, cloud, plan=plan)
 
 
 class TestGradientCheck:

@@ -220,6 +220,56 @@ class TestLabels:
         np.testing.assert_array_equal(loaded.labels, labels.labels)
 
 
+def save_labels_reference(labels, path):
+    """save_labels as a line-at-a-time writer."""
+    with open(path, "w", encoding="ascii") as fh:
+        for index in np.flatnonzero(labels.present_mask):
+            fh.write(f"{index} {labels.labels[index]}\n")
+
+
+class TestLabelFastPaths:
+    def test_writer_bytes_equal_line_writer(self, tmp_path):
+        for seed in range(20):
+            _, full = generate_synthetic_scene(seed, 2048, 4)
+            labels = subsample_labels(full, 1 + seed * 100, seed)
+            save_labels(labels, tmp_path / "a.labels")
+            save_labels_reference(labels, tmp_path / "b.labels")
+            assert (tmp_path / "a.labels").read_bytes() == \
+                (tmp_path / "b.labels").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_pass_parse_equals_line_loop(self, tmp_path, seed, monkeypatch):
+        """A canonical file parses in one pass; the same file with a comment
+        goes line by line; both give the same labels."""
+        rng = np.random.default_rng(seed)
+        _, full = generate_synthetic_scene(seed, 512, 4)
+        labels = subsample_labels(full, int(rng.integers(1, 512)), seed)
+        canonical = tmp_path / "canonical.labels"
+        save_labels(labels, canonical)
+        commented = tmp_path / "commented.labels"
+        commented.write_text(canonical.read_text() + "# end\n")
+        one_pass = []
+        parse = np.fromstring
+        monkeypatch.setattr(np, "fromstring",
+                            lambda *a, **k: one_pass.append(1) or parse(*a, **k))
+        fast = load_labels(canonical, 4, 512)
+        assert one_pass == [1]
+        slow = load_labels(commented, 4, 512)
+        assert one_pass == [1]
+        np.testing.assert_array_equal(fast.labels, labels.labels)
+        np.testing.assert_array_equal(slow.labels, labels.labels)
+
+    def test_leading_zeros_and_long_numbers(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("0003 01\n7 2\n")
+        np.testing.assert_array_equal(load_labels(path, 4, 8).labels,
+                                      [ABSENT, ABSENT, ABSENT, 1, ABSENT,
+                                       ABSENT, ABSENT, 2])
+        path.write_text("1 1\n" + "9" * 30 + " 1\n")
+        with pytest.raises(LabelError, match="point count 8"):
+            load_labels(path, 4, 8)
+
+
 class TestSyntheticScene:
     def test_deterministic(self):
         a_cloud, a_labels = generate_synthetic_scene(7, 2048, 4)

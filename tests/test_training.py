@@ -6,10 +6,28 @@ import pytest
 
 from pointvb import training
 from pointvb.errors import CheckpointError, DataError
-from pointvb.experiment import _accumulated_step
-from pointvb.geometry import knn_indices, voxel_downsample
+from pointvb import experiment
+from pointvb.config import default_config, train_config
+from pointvb.experiment import (
+    VoxelizedScenes,
+    _accumulated_step,
+    load_split,
+    run_phase,
+)
+from pointvb.geometry import (
+    apply_transform,
+    farthest_point_sampling,
+    knn_indices,
+    sample_transform,
+    voxel_downsample,
+)
 from pointvb.nncore import encoder_backward, encoder_forward, gradient_check
-from pointvb.pcio import SparseLabelSet, generate_synthetic_scene, subsample_labels
+from pointvb.pcio import (
+    SparseLabelSet,
+    generate_synthetic_scene,
+    make_directory,
+    subsample_labels,
+)
 from pointvb.vbloss import vb_loss_backward
 from pointvb.training import (
     CHECKPOINT_MAGIC,
@@ -20,6 +38,7 @@ from pointvb.training import (
     init_state,
     load_checkpoint,
     masked_cross_entropy,
+    pair_loss_and_grads,
     poly_lr,
     pretrain_grads,
     save_checkpoint,
@@ -392,6 +411,70 @@ class TestFullGraphReference:
         state = init_state(cfg, with_head=True)
         self.assert_same(finetune_grads(state, cloud, labels, cfg, nbrs),
                          full_graph_finetune_grads(state, cloud, labels, nbrs))
+
+
+class TestPlannedSteps:
+    """Steps that reuse a plan compute what steps that plan afresh compute,
+    bit for bit."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    def test_finetune_keeps_one_plan_per_scene(self, tmp_path, monkeypatch):
+        values = {**default_config(), "num_scenes": 4, "points_per_scene": 512,
+                  "feature_dim": 8, "hidden_widths": (16, 16), "knn": 8,
+                  "finetune_steps": 24, "momentum": 0.5, "labels_per_scene": 6}
+        data = VoxelizedScenes(load_split(values, "train"),
+                               train_config(values, "finetune"))
+        plans = self.counting(monkeypatch, experiment, "finetune_plan")
+        kept, kept_trace = run_phase(values, "finetune", data, None,
+                                     make_directory(tmp_path / "kept"))
+        assert 3 <= len(plans) <= 4  # one plan per scene drawn
+
+        def replan_every_step(state, data, cfg):
+            return experiment._train(state, data, cfg, lambda i: finetune_grads(
+                state, data.clouds[i], data.labels[i], cfg, data.neighbors[i]))
+
+        monkeypatch.setattr(experiment, "finetune", replan_every_step)
+        replans = self.counting(monkeypatch, training, "plan_rows")
+        fresh, fresh_trace = run_phase(values, "finetune", data, None,
+                                       make_directory(tmp_path / "fresh"))
+        assert len(replans) == 24
+        assert kept_trace == fresh_trace
+        for name, value in fresh.param_dict().items():
+            np.testing.assert_array_equal(kept.param_dict()[name], value,
+                                          err_msg=name)
+        assert (tmp_path / "kept" / "final.ckpt").read_bytes() == \
+            (tmp_path / "fresh" / "final.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pair_shares_one_plan(self, seed, monkeypatch):
+        cloud, _, nbrs = TestFullGraphReference.scene(seed)
+        cfg = TrainConfig(seed=seed)
+        encoder = init_state(cfg).encoder
+        rng = np.random.default_rng(seed)
+        views = [apply_transform(cloud, sample_transform(rng, len(cloud)))
+                 for _ in range(2)]
+        sample = farthest_point_sampling(cloud, 256, seed).indices
+        plans = self.counting(monkeypatch, training, "plan_rows")
+        loss, grads = pair_loss_and_grads(encoder, *views, sample,
+                                          cfg.vb_config(), nbrs)
+        assert len(plans) == 1
+        (fp, tape_p), (fq, tape_q) = [encoder_forward(encoder, view, nbrs, sample)
+                                      for view in views]
+        expected, grad_p, grad_q = vb_loss_backward(fp, fq, cfg.vb_config())
+        assert loss == expected
+        reference = encoder_backward(tape_p, grad_p)
+        for name, g in encoder_backward(tape_q, grad_q).items():
+            reference[name] += g
+        assert sorted(grads) == sorted(reference)
+        for name, g in reference.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
 class TestAttachHead:
