@@ -31,7 +31,6 @@ from .nncore import (
 )
 from .vbloss import (
     CrossCorrelation,
-    VbConfig,
     cross_correlation,
     gaussian_entropy,
     vb_loss,

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import default_config, load_config, train_config
+from .config import check, default_config, load_config, train_config
 from .errors import DataError, NumericError, UsageError
 from .experiment import (
     VoxelizedScenes,
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
 def _values(args) -> dict:
     values = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        values["seed"] = args.seed
+        values["seed"] = check("seed", args.seed, "--seed: ")
     if args.out is not None:
         values["out_dir"] = str(args.out)
     return values
@@ -114,9 +115,8 @@ def _cmd_gradcheck(args) -> int:
     """Check the full pretrain loss gradient on a tiny random instance."""
     values = _values(args)
     seed = values["seed"]
-    cfg = train_config(values, "pretrain")
-    cfg.feature_dim, cfg.hidden_widths, cfg.knn, cfg.fps_count = 8, (8,), 4, 16
-    vb_cfg = cfg.vb_config()
+    cfg = replace(train_config(values, "pretrain"), feature_dim=8,
+                  hidden_widths=(8,), knn=4, fps_count=16)
     cloud, _ = generate_synthetic_scene(seed, 32, 2)
     other, _ = generate_synthetic_scene(seed + 1, 32, 2)
     state = init_state(cfg)
@@ -129,10 +129,10 @@ def _cmd_gradcheck(args) -> int:
         enc.biases = [params[f"enc.b{i}"] for i in range(len(enc.biases))]
         fp, _ = encoder_forward(enc, cloud)
         fq, _ = encoder_forward(enc, other)
-        loss, _, _ = vb_loss_backward(fp[sample], fq[sample], vb_cfg)
+        loss, _, _ = vb_loss_backward(fp[sample], fq[sample], cfg)
         return loss
 
-    _, grads = pair_loss_and_grads(state.encoder, cloud, other, sample, vb_cfg)
+    _, grads = pair_loss_and_grads(state.encoder, cloud, other, sample, cfg)
     report = gradient_check(loss_fn, state.param_dict(), grads, rng=rng)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max relative error {report.max_rel_error:.3e} "

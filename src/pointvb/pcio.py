@@ -200,7 +200,10 @@ def _parse_ply_header(raw: bytes, path: str):
 def load_ply(path: str | Path) -> PointCloud:
     """Load a PLY point cloud (ASCII or binary little-endian vertices)."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     fmt, count, props, payload_offset = _parse_ply_header(raw, str(path))
     if count < 1:
         raise PlyParseError(f"{path}: vertex count must be >= 1", payload_offset)
@@ -297,6 +300,8 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise LabelError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    except OSError as exc:
+        raise LabelError(f"{path}: cannot read: {exc.strerror}") from None
     if re.fullmatch(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*", text):  # 18 digits fit int64
         index, cls = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2).T
         if (np.diff(index) > 0).all() and (index < num_points).all() \
@@ -431,11 +436,12 @@ def load_scene_set(
         raise DataError(f"no scene_*.ply files in {directory}")
     if split is None:
         split_file = directory / "split.txt"
-        split = (
-            split_file.read_text(encoding="ascii").strip()
-            if split_file.exists()
-            else "train"
-        )
+        try:
+            split = split_file.read_text(encoding="ascii").strip()
+        except FileNotFoundError:
+            split = "train"
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{split_file}: cannot read: {exc}") from None
     scenes = []
     scene_ids = []
     for ply_path in ply_files:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, NumericError
+from .config import TrainConfig
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .geometry import farthest_point_sampling, knn_indices, sample_transform, \
     apply_transform
 from .nncore import (
@@ -26,53 +27,10 @@ from .nncore import (
     plan_rows,
 )
 from .pcio import PointCloud, SparseLabelSet
-from .vbloss import VbConfig, cross_correlation, vb_loss_backward
+from .vbloss import cross_correlation, vb_loss_backward
 
 CHECKPOINT_MAGIC = b"VPBK"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass
-class TrainConfig:
-    """Hyperparameters for one training phase.
-
-    Large-scale settings (20000/30000 iterations, H = 1024, D up to 1024,
-    2 cm voxels, lr 0.1 with momentum 0.99) are valid values; the defaults
-    here are desk-scale.
-    """
-
-    phase: str = "pretrain"            # pretrain | finetune
-    iterations: int = 2000
-    batch_size: int = 1
-    lr0: float = 0.1
-    momentum: float = 0.99
-    poly_power: float = 0.9
-    off_diagonal_weight: float = 1.0 / 64.0
-    fps_count: int = 256               # H
-    feature_dim: int = 32              # D
-    hidden_widths: tuple[int, ...] = (64, 64)
-    knn: int = 16
-    seed: int = 0
-    voxel_size: float = 0.05
-    labels_per_scene: int = 20
-    num_classes: int = 4
-    squared_norm: bool = False
-
-    def __post_init__(self):
-        if self.phase not in ("pretrain", "finetune"):
-            raise DataError(f"unknown phase '{self.phase}'")
-        if self.iterations < 1 or self.batch_size < 1:
-            raise DataError("iterations and batch_size must be >= 1")
-        if self.lr0 <= 0 or not 0.0 <= self.momentum < 1.0:
-            raise DataError("need lr0 > 0 and momentum in [0, 1)")
-        if self.fps_count < 2:
-            raise DataError("fps_count must be >= 2")
-
-    def vb_config(self) -> VbConfig:
-        return VbConfig(
-            off_diagonal_weight=self.off_diagonal_weight,
-            squared_norm=self.squared_norm,
-        )
 
 
 @dataclass
@@ -161,20 +119,21 @@ def pair_loss_and_grads(
     view_p: PointCloud,
     view_q: PointCloud,
     sample: np.ndarray,
-    vb_cfg: VbConfig,
+    cfg: TrainConfig,
     neighbors: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Viewpoint-bottleneck loss of two views at the shared `sample` rows
     and its gradients with respect to every encoder parameter.
 
-    neighbors is the kNN graph both views share, planned once for both;
-    each view builds and plans its own when it is None.
+    cfg gives the loss's off_diagonal_weight and squared_norm. neighbors is
+    the kNN graph both views share, planned once for both; each view builds
+    and plans its own when it is None.
     """
     plan = None if neighbors is None else \
         plan_rows(neighbors, sample, len(encoder.weights))
     feats_p, tape_p = encoder_forward(encoder, view_p, rows=sample, plan=plan)
     feats_q, tape_q = encoder_forward(encoder, view_q, rows=sample, plan=plan)
-    loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, vb_cfg)
+    loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, cfg)
     if not np.isfinite(loss):
         z = cross_correlation(feats_p, feats_q).z
         raise NumericError(
@@ -209,7 +168,7 @@ def pretrain_grads(
         neighbors = knn_indices(cloud.positions, cfg.knn)
     sample = farthest_point_sampling(cloud, h, start).indices
     loss, grads = pair_loss_and_grads(state.encoder, view_p, view_q, sample,
-                                      cfg.vb_config(), neighbors)
+                                      cfg, neighbors)
     if state.head is not None:
         grads["head.w"] = np.zeros_like(state.head.weight)
         grads["head.b"] = np.zeros_like(state.head.bias)
@@ -378,9 +337,8 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
             ).reshape(shape).copy()
             pos += 8 * size
 
-        cfg_dict = dict(meta["config"])
-        cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
-        cfg = TrainConfig(**cfg_dict)
+        cfg = TrainConfig(**{**meta["config"],
+                             "hidden_widths": tuple(meta["config"]["hidden_widths"])})
         layers = meta["encoder_layers"]
         encoder = EncoderParams(
             [tensors[f"enc.w{i}"] for i in range(layers)],
@@ -399,7 +357,8 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
         rng.bit_generator.state = meta["rng_state"]
         state = TrainState(encoder, head, buffers, meta["step"], rng,
                            meta["skipped_scenes"])
-    except (KeyError, TypeError, ValueError, OverflowError, struct.error) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, struct.error,
+            ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
     if expect is not None:
         keys = ("feature_dim", "hidden_widths", "knn", "voxel_size") + \

@@ -8,21 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import DataError, NumericError
 from .nncore import normalize_columns
 
-
-@dataclass
-class VbConfig:
-    """Loss hyperparameters: off-diagonal weight and normalization guard."""
-
-    off_diagonal_weight: float = 1.0 / 64.0
-    epsilon: float = 1e-12
-    squared_norm: bool = False  # smoother near the optimum, off by default
-
-    def __post_init__(self):
-        if self.off_diagonal_weight <= 0:
-            raise DataError("off_diagonal_weight must be positive")
+EPSILON = 1e-12  # floor of a column norm in the normalization
 
 
 @dataclass
@@ -37,9 +27,7 @@ class CrossCorrelation:
             raise DataError(f"cross-correlation must be square, got {self.z.shape}")
 
 
-def cross_correlation(
-    zp: np.ndarray, zq: np.ndarray, epsilon: float = 1e-12
-) -> CrossCorrelation:
+def cross_correlation(zp: np.ndarray, zq: np.ndarray) -> CrossCorrelation:
     """Column-normalize both views, then correlate channel pairs.
 
     Rows of zp and zq must describe the same sampled points under the two
@@ -47,8 +35,8 @@ def cross_correlation(
     """
     if zp.shape != zq.shape:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
-    a = normalize_columns(zp, epsilon)
-    b = normalize_columns(zq, epsilon)
+    a = normalize_columns(zp, EPSILON)
+    b = normalize_columns(zq, EPSILON)
     return CrossCorrelation(a.T @ b)
 
 
@@ -58,8 +46,9 @@ def _scale_off_diagonal(z: np.ndarray, weight: float) -> np.ndarray:
     return out
 
 
-def vb_loss(z: CrossCorrelation, cfg: VbConfig) -> float:
-    """Frobenius distance between the off-diagonal-scaled matrix and identity."""
+def vb_loss(z: CrossCorrelation, cfg: TrainConfig) -> float:
+    """Frobenius distance between the off-diagonal-scaled matrix and identity
+    (squared when cfg.squared_norm, smoother near the optimum)."""
     gamma = _scale_off_diagonal(z.z, cfg.off_diagonal_weight)
     residual = gamma - np.eye(len(gamma))
     sq = float(np.sum(residual**2))
@@ -67,7 +56,7 @@ def vb_loss(z: CrossCorrelation, cfg: VbConfig) -> float:
 
 
 def vb_loss_backward(
-    zp: np.ndarray, zq: np.ndarray, cfg: VbConfig
+    zp: np.ndarray, zq: np.ndarray, cfg: TrainConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss and its exact gradients w.r.t. the raw (pre-normalization) views.
 
@@ -77,9 +66,8 @@ def vb_loss_backward(
     """
     if zp.shape != zq.shape:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
-    eps = cfg.epsilon
-    a = normalize_columns(zp, eps)
-    b = normalize_columns(zq, eps)
+    a = normalize_columns(zp, EPSILON)
+    b = normalize_columns(zq, EPSILON)
     z = a.T @ b
     residual = _scale_off_diagonal(z, cfg.off_diagonal_weight) - np.eye(len(z))
     sq = float(np.sum(residual**2))
@@ -93,21 +81,19 @@ def vb_loss_backward(
         dz = _scale_off_diagonal(residual, cfg.off_diagonal_weight) / loss
     da = b @ dz.T
     db = a @ dz
-    return loss, _normalize_columns_backward(zp, da, eps), \
-        _normalize_columns_backward(zq, db, eps)
+    return loss, _normalize_columns_backward(zp, da), \
+        _normalize_columns_backward(zq, db)
 
 
-def _normalize_columns_backward(
-    raw: np.ndarray, upstream: np.ndarray, epsilon: float
-) -> np.ndarray:
+def _normalize_columns_backward(raw: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Backprop through normalize_columns for each column independently."""
     centered = raw - raw.mean(axis=0, keepdims=True)
     norms = np.linalg.norm(centered, axis=0, keepdims=True)
-    clipped = np.maximum(norms, epsilon)
+    clipped = np.maximum(norms, EPSILON)
     y = centered / clipped
     # d/dcentered of (centered / max(norm, eps)); the norm term only flows
     # where the norm is not clipped at epsilon
-    active = (norms > epsilon).astype(np.float64)
+    active = (norms > EPSILON).astype(np.float64)
     dc = upstream / clipped - active * y * np.sum(y * upstream, axis=0,
                                                  keepdims=True) / clipped
     return dc - dc.mean(axis=0, keepdims=True)

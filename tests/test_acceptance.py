@@ -44,7 +44,6 @@ from pointvb.training import (
 )
 from pointvb.vbloss import (
     CrossCorrelation,
-    VbConfig,
     cross_correlation,
     gaussian_entropy,
     vb_loss,
@@ -145,7 +144,7 @@ class TestCriterion1GradientFidelity:
         view_q = apply_transform(cloud, sample_transform(rng, len(cloud)))
         sample = farthest_point_sampling(cloud, 16, 0).indices
         encoder = init_encoder(rng, 8, (8,), 4)
-        vb_cfg = VbConfig(off_diagonal_weight=0.1)
+        vb_cfg = TrainConfig(off_diagonal_weight=0.1)
 
         def loss_fn(params):
             probe = encoder.copy()
@@ -262,10 +261,10 @@ class TestCriterion2ClosedFormLosses:
 
     def test_closed_forms(self, capsys):
         started = time.perf_counter()
-        cfg = VbConfig(off_diagonal_weight=0.01)
+        cfg = TrainConfig(off_diagonal_weight=0.01)
         identity_ok = all(
             vb_loss(CrossCorrelation(np.eye(5)),
-                    VbConfig(off_diagonal_weight=lam)) == 0.0
+                    TrainConfig(off_diagonal_weight=lam)) == 0.0
             for lam in (0.01, 0.5, 2.0)
         )
         # only the two off-diagonal 0.5 entries deviate, each scaled by

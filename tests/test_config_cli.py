@@ -1,7 +1,11 @@
 import json
+import math
+import re
 import shutil
 import struct
 import zlib
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
 
+    def test_out_of_range_value_reports_key_value_and_line(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("seed = 1\nmomentum = 1.0\n")
+        assert "'momentum'" in str(exc.value) and "1.0" in str(exc.value)
+        assert exc.value.line == 2
+
+    def test_huge_counts_parse(self):
+        # parsed only: a run of this size would take hours
+        values = parse_config_text(
+            "pretrain_steps = 1000000000000\nfinetune_steps = 1000000000000\n"
+            "num_scenes = 1000000000\nval_scenes = 1000000000\n"
+            "points_per_scene = 1000000000000\nbatch_size = 1000000\n")
+        assert values["pretrain_steps"] == values["finetune_steps"] == 10**12
+        assert values["points_per_scene"] == 10**12
+        assert train_config(values, "finetune").iterations == 10**12
+
     def test_train_config_selects_phase_values(self):
         values = parse_config_text(
             "pretrain_steps = 11\npretrain_lr = 0.3\n"
@@ -115,6 +135,79 @@ class TestParseConfig:
         assert (pre.iterations, pre.lr0) == (11, 0.3)
         assert (fine.iterations, fine.lr0) == (22, 0.4)
         assert pre.phase == "pretrain" and fine.phase == "finetune"
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("iterations", 0, "finetune_steps"), ("lr0", float("nan"), "finetune_lr"),
+        ("momentum", -0.5, "momentum"), ("hidden_widths", (8, 0), "hidden_widths"),
+        ("off_diagonal_weight", float("inf"), "off_diagonal_weight"),
+    ])
+    def test_train_config_checks_the_schema_ranges(self, field, value, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            TrainConfig(phase="finetune", **{field: value})
+
+
+def doc_key_table() -> dict[str, dict[str, str]]:
+    """docs/config.md's key table: key -> {column name: cell text}."""
+    text = (Path(__file__).parent.parent / "docs" / "config.md").read_text()
+    table = text.split("## Keys", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("|")]
+    header, body = rows[0], rows[2:]
+    return {row[0].strip("`"): dict(zip(header, row)) for row in body}
+
+
+def documented_range(text: str):
+    """The predicate a Range cell states, or None for "any"."""
+    if text == "any":
+        return None
+    interval = re.fullmatch(r"\[(\S+), (\S+)\)", text)
+    if interval:
+        low, high = map(float, interval.groups())
+        return lambda v: low <= v < high
+    each, finite, op, bound = re.fullmatch(
+        r"(each )?(finite, )?(≥|>) (-?\d+)", text).groups()
+
+    def one(v):
+        return (not finite or math.isfinite(v)) and \
+            (v >= int(bound) if op == "≥" else v > int(bound))
+    return (lambda v: all(one(w) for w in v)) if each else one
+
+
+class TestSchemaDrift:
+    """docs/config.md, SCHEMA and TrainConfig state one set of defaults and
+    ranges."""
+
+    TYPES = {int: "int", float: "float", str: "str"}
+    PROBES = {
+        "int": [-2, -1, 0, 1, 2, 3, 10**12],
+        "float": [-math.inf, -1.0, -1e-300, 0.0, 1e-300, 0.5, 0.999, 1.0, 2.0,
+                  1e300, math.inf, math.nan],
+        "widths": [(1,), (0,), (-1,), (5, 0), (3, 4), (1, 1, 1)],
+    }
+
+    def test_doc_table_matches_schema(self):
+        table = doc_key_table()
+        assert list(table) == list(SCHEMA)
+        for key, (parser, default, valid) in SCHEMA.items():
+            row = table[key]
+            kind = self.TYPES.get(parser) or \
+                ("bool" if isinstance(default, bool) else "widths")
+            assert row["Type"] == kind, key
+            cell = "" if row["Default"] == "*(empty)*" else row["Default"].strip("`")
+            assert parser(cell) == default, key
+            documented = documented_range(row["Range"])
+            assert (documented is None) == (valid is None), key
+            for probe in self.PROBES.get(kind, []) if valid else []:
+                assert documented(probe) == valid(probe), (key, probe)
+
+    def test_train_config_defaults_are_the_schema_defaults(self):
+        defaults = default_config()
+        renamed = {"iterations": "pretrain_steps", "lr0": "pretrain_lr"}
+        cfg = TrainConfig()
+        for f in fields(TrainConfig):
+            if f.name != "phase":
+                assert getattr(cfg, f.name) == defaults[renamed.get(f.name, f.name)], \
+                    f.name
 
 
 TINY_CONFIG = """
@@ -237,6 +330,53 @@ class TestCli:
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("feature_dim", "0"), ("knn", "-1"), ("seed", "-1"),
+        ("poly_power", "-1"), ("pretrain_lr", "nan"), ("voxel_size", "nan"),
+        ("pretrain_steps", "0"), ("batch_size", "0"), ("fps_count", "1"),
+        ("voxel_size", "0"), ("off_diagonal_weight", "inf"),
+    ])
+    def test_out_of_range_value_exit_code(self, key, value, tmp_path, capsys,
+                                          monkeypatch):
+        loads = []
+        monkeypatch.setattr("pointvb.experiment.load_split",
+                            lambda *a: loads.append(a))
+        lines = [line for line in TINY_CONFIG.splitlines()
+                 if not line.startswith(f"{key} ")] + [f"{key} = {value}"]
+        config = tmp_path / "range.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "out of range" in err and f"'{key}'" in err
+        assert f"line {len(lines)}:" in err
+        assert loads == []  # refused before any scene loads
+
+    def test_out_of_range_seed_flag_exit_code(self, tmp_path, capsys):
+        assert main(["run", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_config_naming_a_directory_exit_code(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("suffix", [".ply", ".labels"])
+    def test_scene_file_naming_a_directory_exit_code(
+            self, suffix, tiny_config_file, tmp_path, capsys):
+        data = tmp_path / "out" / "data"
+        assert main(["synth", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        taken = sorted((data / "train").glob(f"scene_*{suffix}"))[0]
+        taken.unlink()
+        taken.mkdir()
+        on_disk = tmp_path / "on_disk.cfg"
+        on_disk.write_text(TINY_CONFIG + f"data_dir = {data}\n")
+        assert main(["run", "--config", str(on_disk),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(taken) in err
+
     def test_corrupt_checkpoint_exit_code(self, tiny_config_file, tmp_path,
                                           capsys):
         fake = tmp_path / "fake.ckpt"
@@ -246,7 +386,8 @@ class TestCli:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["missing_tensor", "unknown_config_key",
-                                      "empty_metadata"])
+                                      "empty_metadata",
+                                      "out_of_range_config_value"])
     def test_malformed_checkpoint_structure_exit_code(
             self, edit, tiny_config_file, tmp_path, capsys):
         path = tmp_path / "edited.ckpt"
@@ -260,6 +401,8 @@ class TestCli:
             meta["encoder_layers"] += 1  # names an enc.w tensor not stored
         elif edit == "unknown_config_key":
             meta["config"]["no_such_key"] = 1
+        elif edit == "out_of_range_config_value":
+            meta["config"]["momentum"] = 1.0
         meta_bytes = b"" if edit == "empty_metadata" else \
             json.dumps(meta).encode()
         body = (raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
@@ -269,6 +412,8 @@ class TestCli:
                      "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "malformed checkpoint" in err
+        if edit == "out_of_range_config_value":
+            assert "'momentum'" in err
 
     def test_default_config_trains(self, tmp_path):
         out = tmp_path / "out"

@@ -1,14 +1,20 @@
 """Property tests for every input boundary: arbitrary bytes fed to the PLY,
 label, config and checkpoint parsers either parse or raise a PointVbError
-subclass, never another exception."""
+subclass, never another exception; an edge value of any config key either
+runs or exits with a documented code."""
 
+import contextlib
+import io
+import os
 import struct
+import tempfile
 import zlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pointvb.config import load_config
+from pointvb.cli import main
+from pointvb.config import SCHEMA, load_config
 from pointvb.errors import PointVbError
 from pointvb.pcio import load_labels, load_ply
 from pointvb.training import (
@@ -121,3 +127,44 @@ def test_load_checkpoint_of_edited_bytes(scratch, checkpoint_bytes, at, patch,
     at = min(at, len(body))
     body = body[:at] + patch + (b"" if truncate else body[at + len(patch):])
     parses_or_raises_typed(load_checkpoint, scratch, with_crc(body))
+
+
+EDGE_RUN = """num_scenes = 2
+val_scenes = 1
+points_per_scene = 64
+feature_dim = 8
+hidden_widths = 16
+knn = 8
+fps_count = 32
+pretrain_steps = 2
+finetune_steps = 2
+labels_per_scene = 8
+"""
+
+
+@settings(max_examples=4 * len(SCHEMA) * 5, deadline=None)
+@given(key=st.sampled_from(list(SCHEMA)),
+       edge=st.sampled_from(["0", "-1", "", "nan", "inf"]))
+def test_run_with_an_edge_value(key, edge):
+    """A tiny `pointvb run` with one key set to an edge value exits 1 naming
+    the key, or with another documented code; it never raises. Relative
+    paths (out_dir, data_dir, init_checkpoint) resolve in a fresh directory."""
+    lines = [line for line in EDGE_RUN.splitlines()
+             if not line.startswith(f"{key} ")]
+    text = "\n".join(lines + [f"{key} = {edge}"]) + "\n"
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        os.chdir(work)
+        try:
+            with open("edge.cfg", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code = main(["run", "--config", "edge.cfg"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert f"'{key}'" in err.getvalue(), err.getvalue()
+        assert f"line {len(lines) + 1}:" in err.getvalue(), err.getvalue()

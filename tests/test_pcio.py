@@ -339,6 +339,15 @@ class TestSceneSet:
             # colors round through uint8
             np.testing.assert_allclose(c1.colors, c2.colors, atol=0.5)
 
+    def test_unreadable_split_file(self, tmp_path):
+        scenes = SceneSet([generate_synthetic_scene(0, 64, 4)], split="val")
+        write_scene_set(scenes, tmp_path)
+        (tmp_path / "split.txt").unlink()
+        assert load_scene_set(tmp_path, num_classes=4).split == "train"
+        (tmp_path / "split.txt").mkdir()
+        with pytest.raises(DataError, match="split.txt"):
+            load_scene_set(tmp_path, num_classes=4)
+
     def test_duplicate_ids_rejected(self):
         scene = generate_synthetic_scene(0, 64, 4)
         with pytest.raises(DataError):

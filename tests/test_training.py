@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pointvb import training
-from pointvb.errors import CheckpointError, DataError
+from pointvb.errors import CheckpointError, ConfigError, DataError
 from pointvb import experiment
 from pointvb.config import default_config, train_config
 from pointvb.experiment import (
@@ -463,11 +463,11 @@ class TestPlannedSteps:
         sample = farthest_point_sampling(cloud, 256, seed).indices
         plans = self.counting(monkeypatch, training, "plan_rows")
         loss, grads = pair_loss_and_grads(encoder, *views, sample,
-                                          cfg.vb_config(), nbrs)
+                                          cfg, nbrs)
         assert len(plans) == 1
         (fp, tape_p), (fq, tape_q) = [encoder_forward(encoder, view, nbrs, sample)
                                       for view in views]
-        expected, grad_p, grad_q = vb_loss_backward(fp, fq, cfg.vb_config())
+        expected, grad_p, grad_q = vb_loss_backward(fp, fq, cfg)
         assert loss == expected
         reference = encoder_backward(tape_p, grad_p)
         for name, g in encoder_backward(tape_q, grad_q).items():
@@ -575,13 +575,13 @@ class TestCheckpoint:
 
 class TestTrainConfigValidation:
     def test_unknown_phase_raises(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             TrainConfig(phase="warmup")
 
     def test_nonpositive_lr_raises(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             tiny_config(lr0=0.0)
 
     def test_momentum_one_raises(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             tiny_config(momentum=1.0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from pointvb.config import TrainConfig
 from pointvb.errors import DataError, NumericError
 from pointvb.vbloss import (
     CrossCorrelation,
-    VbConfig,
     cross_correlation,
     gaussian_entropy,
     vb_loss,
@@ -63,29 +63,30 @@ class TestVbLoss:
     def test_identity_is_zero(self):
         for lam in (0.01, 0.5, 2.0):
             cc = CrossCorrelation(np.eye(5))
-            assert vb_loss(cc, VbConfig(off_diagonal_weight=lam)) == 0.0
+            assert vb_loss(cc, TrainConfig(off_diagonal_weight=lam)) == 0.0
 
     def test_hand_case_half_off_diagonal(self):
         cc = CrossCorrelation(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        loss = vb_loss(cc, VbConfig(off_diagonal_weight=0.01))
+        loss = vb_loss(cc, TrainConfig(off_diagonal_weight=0.01))
         assert abs(loss - np.sqrt(2) * 0.005) < 1e-12
 
     def test_hand_case_all_ones(self):
         cc = CrossCorrelation(np.ones((2, 2)))
-        loss = vb_loss(cc, VbConfig(off_diagonal_weight=0.01))
+        loss = vb_loss(cc, TrainConfig(off_diagonal_weight=0.01))
         assert abs(loss - np.sqrt(2) * 0.01) < 1e-12
 
     def test_nonnegative_and_zero_only_at_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             z = rng.normal(size=(4, 4))
-            loss = vb_loss(CrossCorrelation(z), VbConfig())
+            loss = vb_loss(CrossCorrelation(z),
+                           TrainConfig(off_diagonal_weight=1 / 64))
             assert loss >= 0.0
             if not np.allclose(z, np.eye(4)):
                 assert loss > 0.0
 
     def test_off_diagonal_monotonicity(self):
-        cfg = VbConfig(off_diagonal_weight=0.1)
+        cfg = TrainConfig(off_diagonal_weight=0.1)
         z = np.eye(3)
         previous = vb_loss(CrossCorrelation(z.copy()), cfg)
         for magnitude in (0.1, 0.3, 0.7, 1.0):
@@ -96,7 +97,7 @@ class TestVbLoss:
 
     def test_squared_variant(self):
         cc = CrossCorrelation(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        cfg = VbConfig(off_diagonal_weight=0.01, squared_norm=True)
+        cfg = TrainConfig(off_diagonal_weight=0.01, squared_norm=True)
         assert abs(vb_loss(cc, cfg) - 2 * 0.005**2) < 1e-15
 
 
@@ -104,7 +105,7 @@ class TestVbLossBackward:
     def test_forward_values_agree(self):
         rng = np.random.default_rng(3)
         zp, zq = rng.normal(size=(16, 8)), rng.normal(size=(16, 8))
-        cfg = VbConfig(off_diagonal_weight=0.1)
+        cfg = TrainConfig(off_diagonal_weight=0.1)
         loss, _, _ = vb_loss_backward(zp, zq, cfg)
         assert abs(loss - vb_loss(cross_correlation(zp, zq), cfg)) < 1e-12
 
@@ -112,7 +113,7 @@ class TestVbLossBackward:
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         zp, zq = rng.normal(size=(16, 8)), rng.normal(size=(16, 8))
-        cfg = VbConfig(off_diagonal_weight=1.0 / 8.0)
+        cfg = TrainConfig(off_diagonal_weight=1.0 / 8.0)
         _, grad_p, grad_q = vb_loss_backward(zp, zq, cfg)
         num_p = numeric_grad(lambda: vb_loss_backward(zp, zq, cfg)[0], zp)
         num_q = numeric_grad(lambda: vb_loss_backward(zp, zq, cfg)[0], zq)
@@ -125,7 +126,8 @@ class TestVbLossBackward:
         # identical orthogonal normalized views with lambda-weighted
         # off-diagonals exactly zero: loss 0, gradients zero by convention
         zp = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]])
-        loss, gp, gq = vb_loss_backward(zp, zp.copy(), VbConfig())
+        loss, gp, gq = vb_loss_backward(zp, zp.copy(),
+                                        TrainConfig(off_diagonal_weight=1 / 64))
         assert loss == 0.0
         np.testing.assert_array_equal(gp, np.zeros_like(zp))
         np.testing.assert_array_equal(gq, np.zeros_like(zp))
@@ -133,7 +135,7 @@ class TestVbLossBackward:
     def test_diagonal_terms_stationary_for_identical_views(self):
         rng = np.random.default_rng(4)
         zp = rng.normal(size=(12, 4))
-        cfg = VbConfig(off_diagonal_weight=0.05)
+        cfg = TrainConfig(off_diagonal_weight=0.05)
         loss, gp, gq = vb_loss_backward(zp, zp.copy(), cfg)
         # diagonal of the correlation is exactly 1, so the residual (and
         # hence the gradient) is driven by off-diagonal terms only
@@ -144,7 +146,7 @@ class TestVbLossBackward:
     def test_column_scaling_invariance(self):
         rng = np.random.default_rng(5)
         zp, zq = rng.normal(size=(10, 5)), rng.normal(size=(10, 5))
-        cfg = VbConfig(off_diagonal_weight=0.1)
+        cfg = TrainConfig(off_diagonal_weight=0.1)
         base, grad_p, _ = vb_loss_backward(zp, zq, cfg)
         scaled = zp.copy()
         scaled[:, 2] *= 2.0
@@ -161,7 +163,7 @@ class TestVbLossBackward:
         # not (it flips a diagonal correlation), hence both are mapped
         rng = np.random.default_rng(6)
         zp, zq = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
-        cfg = VbConfig()
+        cfg = TrainConfig(off_diagonal_weight=1 / 64)
         base, _, _ = vb_loss_backward(zp, zq, cfg)
         scale = np.array([2.0, -1.5, 0.3, 7.0])
         shift = np.array([1.0, -2.0, 0.5, 3.0])
@@ -173,7 +175,7 @@ class TestVbLossBackward:
         rng = np.random.default_rng(7)
         zp, zq = rng.normal(size=(14, 5)), rng.normal(size=(14, 5))
         perm = rng.permutation(14)
-        cfg = VbConfig()
+        cfg = TrainConfig(off_diagonal_weight=1 / 64)
         a, _, _ = vb_loss_backward(zp, zq, cfg)
         b, _, _ = vb_loss_backward(zp[perm], zq[perm], cfg)
         assert abs(a - b) < 1e-12
