@@ -154,7 +154,12 @@ class TrainConfig:
         if self.phase not in ("pretrain", "finetune"):
             raise ConfigError(f"unknown phase '{self.phase}'")
         for f in fields(self)[1:]:  # every field after phase
-            check(_key(f.name, self.phase), getattr(self, f.name), f"{f.name}: ")
+            value = getattr(self, f.name)
+            ints = value if f.type == "tuple[int, ...]" else (value,)
+            if f.type in ("int", "tuple[int, ...]") and not (
+                    type(ints) is tuple and all(type(v) is int for v in ints)):
+                raise ConfigError(f"{f.name}: value {value!r} is not {f.type}")
+            check(_key(f.name, self.phase), value, f"{f.name}: ")
 
 
 def train_config(values: dict, phase: str) -> TrainConfig:

@@ -4,9 +4,10 @@ evaluation, and CSV/checkpoint emission."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
-import ctypes
 import functools
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,12 @@ from .training import (
     finetune_plan,
     init_state,
     load_checkpoint,
+    pin_blas_threads,
     poly_lr,
+    pretrain_draws,
     pretrain_grads,
+    pretrain_sample,
+    retain_freed_heap,
     save_checkpoint,
     sgd_momentum_step,
 )
@@ -99,9 +104,9 @@ def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | N
                 total[name] += grads[name]
     if total is None:
         return None
-    scale = 1.0 / len(losses)
-    for name in total:
-        total[name] *= scale
+    if len(losses) > 1:  # the mean of one is itself (x * 1.0 == x)
+        for name in total:
+            total[name] *= 1.0 / len(losses)
     lr = poly_lr(state.step, cfg)
     sgd_momentum_step(state.param_dict(), total, state.momentum_buffers, lr,
                       cfg.momentum)
@@ -109,26 +114,13 @@ def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | N
     return float(np.mean(losses))
 
 
-def _retain_freed_heap() -> None:
-    """Keep the tens of MB a training step frees on glibc's heap for the
-    next step, not handed back to the OS to be faulted in again (7.8k minor
-    faults, ~15 ms of a pretrain step). Process-wide; a no-op off glibc."""
-    mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # libc's, on Linux
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic ceiling
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc pairs them
-
-
-def _train(state: TrainState, data: VoxelizedScenes, cfg: TrainConfig,
-           scene_grads) -> list[tuple[int, float, float]]:
-    """The loop of both phases: steps on scenes drawn from state.rng until
-    cfg.iterations; scene_grads(i) gives scene i's (loss, grads) or None.
-    Returns (step, lr, loss) for every step that ran."""
-    _retain_freed_heap()
-
-    def compute():
-        return scene_grads(int(state.rng.integers(len(data))))
-
+def _train(state: TrainState, cfg: TrainConfig, compute
+           ) -> list[tuple[int, float, float]]:
+    """The loop of both phases: steps until cfg.iterations, each averaging
+    cfg.batch_size compute() calls. Returns (step, lr, loss) for every step
+    that ran."""
+    retain_freed_heap()
+    pin_blas_threads()
     trace = []
     while state.step < cfg.iterations:
         step = state.step
@@ -142,9 +134,53 @@ def _train(state: TrainState, data: VoxelizedScenes, cfg: TrainConfig,
 def pretrain(
     state: TrainState, data: VoxelizedScenes, cfg: TrainConfig
 ) -> list[tuple[int, float, float]]:
-    """Run cfg.iterations self-supervised steps; returns (step, lr, loss)."""
-    return _train(state, data, cfg, lambda i: pretrain_grads(
-        state, data.clouds[i], cfg, data.neighbors[i]))
+    """Run cfg.iterations self-supervised steps; returns (step, lr, loss).
+
+    Where the platform can fork, the first compute forks a worker after its
+    draws. It replays the later computes' pretrain_draws from its copy of
+    state.rng and sends their FPS samples ahead down a pipe, whose buffer
+    bounds how far ahead it runs. Once it is gone, or a sample does not
+    match its compute's draws, FPS runs in process for the rest of the
+    phase: FPS is a pure function of (cloud, H, start), so the bytes agree."""
+    computes = (cfg.iterations - state.step) * cfg.batch_size
+    fork = computes > 1 and "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    conn, sender = context.Pipe(duplex=False)
+    worker = None
+
+    def send_samples(rng):  # the worker
+        conn.close()  # so that a send fails once the phase's process is gone
+        for _ in range(computes - 1):
+            i, (_, _, start) = pretrain_draws(rng, data.clouds)
+            sender.send((i, start, pretrain_sample(data.clouds[i], cfg, start)))
+
+    def compute():
+        nonlocal fork, worker
+        i, draws = pretrain_draws(state.rng, data.clouds)
+        got = (None, None, None)
+        if fork and worker is None:
+            worker = context.Process(target=send_samples, args=(state.rng,))
+            worker.start()
+            sender.close()
+        elif fork:
+            with contextlib.suppress(EOFError, OSError):  # the worker is gone
+                got = conn.recv()
+            if got[:2] != (i, draws[2]):
+                fork = False
+                worker.terminate()
+        return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i],
+                              draws, got[2] if fork else None)
+
+    with conn, sender:
+        try:
+            return _train(state, cfg, compute)
+        except BaseException:
+            if worker:
+                worker.terminate()
+            raise
+        finally:
+            if worker:
+                worker.join()
 
 
 def finetune(
@@ -159,8 +195,12 @@ def finetune(
         raise DataError("no scene carries any labeled voxel")
     planned = functools.cache(lambda i: finetune_plan(
         state.encoder, data.clouds[i], data.labels[i], data.neighbors[i]))
-    return _train(state, data, cfg, lambda i: finetune_grads(
-        state, data.clouds[i], data.labels[i], cfg, planned=planned(i)))
+
+    def compute():
+        i = int(state.rng.integers(len(data)))
+        return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
+                              planned=planned(i))
+    return _train(state, cfg, compute)
 
 
 def sparsify_scenes(scenes: SceneSet, k: int, seed: int) -> SceneSet:
@@ -242,13 +282,18 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     takes the place of pretraining.
     """
     out = make_directory(out_dir)
-    train_scenes, val_scenes = [load_split(values, s) for s in ("train", "val")]
-
-    trace = []
     state = None
     if values["init_checkpoint"]:
         state, _ = load_checkpoint(values["init_checkpoint"],
                                    train_config(values, "finetune"))
+    if not values["finetune"] and (state is None or state.head is None):
+        if state is None and not values["pretrain"]:
+            raise DataError("config enables neither pretraining nor "
+                            "fine-tuning and provides no init_checkpoint")
+        raise DataError("no classification head trained; cannot evaluate")
+    train_scenes, val_scenes = [load_split(values, s) for s in ("train", "val")]
+
+    trace = []
     data = None  # both phases read the same voxel_size and knn
     for phase in ("pretrain", "finetune"):
         if values[phase] and (phase == "finetune" or state is None):
@@ -256,12 +301,6 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
                                            train_config(values, phase))
             state, phase_trace = run_phase(values, phase, data, state, out)
             trace.extend(phase_trace)
-    if state is None:
-        raise DataError("config enables neither pretraining nor fine-tuning "
-                        "and provides no init_checkpoint")
-    if state.head is None:
-        raise DataError("no classification head trained; cannot evaluate")
-
     report = evaluate(state, val_scenes, train_config(values, "finetune"))
     write_trace_csv(trace, out / "trace.csv")
     write_report_csv(report, out / "report.csv")

@@ -10,7 +10,7 @@ from .errors import DataError
 from .geometry import voxel_downsample
 from .nncore import encoder_forward
 from .pcio import SceneSet, SparseLabelSet
-from .training import TrainConfig, TrainState
+from .training import TrainConfig, TrainState, pin_blas_threads
 
 
 @dataclass
@@ -91,6 +91,7 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     point; only points with present ground truth enter the confusion
     matrix.
     """
+    pin_blas_threads()
     cm = ConfusionMatrix.zeros(cfg.num_classes)
     any_truth = False
     for cloud, labels in scenes.scenes:

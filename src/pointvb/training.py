@@ -4,6 +4,7 @@ persistence."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import struct
@@ -15,8 +16,8 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import CheckpointError, ConfigError, DataError, NumericError
-from .geometry import farthest_point_sampling, knn_indices, sample_transform, \
-    apply_transform
+from .geometry import TransformSpec, apply_transform, farthest_point_sampling, \
+    knn_indices, sample_transform
 from .nncore import (
     EncoderParams,
     encoder_backward,
@@ -26,7 +27,7 @@ from .nncore import (
     init_encoder,
     plan_rows,
 )
-from .pcio import PointCloud, SparseLabelSet
+from .pcio import ABSENT, PointCloud, SparseLabelSet
 from .vbloss import cross_correlation, vb_loss_backward
 
 CHECKPOINT_MAGIC = b"VPBK"
@@ -84,6 +85,29 @@ def attach_head(state: TrainState, cfg: TrainConfig) -> None:
     state.momentum_buffers = {}
     state.step = 0
     state.skipped_scenes = 0
+
+
+def retain_freed_heap() -> None:
+    """Keep the tens of MB a training step frees on glibc's heap for the
+    next step, not handed back to the OS to be faulted in again (7.8k minor
+    faults, ~15 ms of a pretrain step). Process-wide; a no-op off glibc."""
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # libc's, on Linux
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic ceiling
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc pairs them
+
+
+def pin_blas_threads() -> None:
+    """Run NumPy's bundled OpenBLAS on one thread, whatever the environment
+    says: on two, its GEMMs sum in another order and a run's bytes change.
+    Process-wide; a no-op where that library or its setter is missing."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_-*.so"):
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_",
+                         None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 def poly_lr(step: int, cfg: TrainConfig) -> float:
@@ -146,27 +170,43 @@ def pair_loss_and_grads(
     return loss, grads
 
 
+def pretrain_draws(rng: np.random.Generator, clouds: list[PointCloud]
+                   ) -> tuple[int, tuple[TransformSpec, TransformSpec, int]]:
+    """One pretrain compute's draws from rng, in order: a scene index into
+    clouds, that scene's two view transforms and its FPS start. The phase's
+    steps and its FPS worker both draw here, so both draw alike."""
+    i = int(rng.integers(len(clouds)))  # draws nothing from one cloud
+    m = len(clouds[i])
+    return i, (sample_transform(rng, m), sample_transform(rng, m), int(rng.integers(m)))
+
+
+def pretrain_sample(cloud: PointCloud, cfg: TrainConfig, start: int) -> np.ndarray:
+    """The rows a pretrain pair correlates: min(H, M) FPS indices from start."""
+    return farthest_point_sampling(cloud, min(cfg.fps_count, len(cloud)), start).indices
+
+
 def pretrain_grads(
     state: TrainState,
     cloud: PointCloud,
     cfg: TrainConfig,
     neighbors: np.ndarray | None = None,
+    draws: tuple[TransformSpec, TransformSpec, int] | None = None,
+    sample: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and parameter gradients for one cloud, without updating.
 
     Two augmented views share one farthest-point index set computed on the
-    untransformed cloud, so correlated rows describe the same points.
+    untransformed cloud, so correlated rows describe the same points. draws
+    (both views' transforms and the FPS start) come from state.rng when
+    None; sample, pretrain_sample of that start, is computed when None.
     """
-    m = len(cloud)
-    h = min(cfg.fps_count, m)
-    t_p = sample_transform(state.rng, m)
-    t_q = sample_transform(state.rng, m)
-    start = int(state.rng.integers(m))
+    t_p, t_q, start = draws or pretrain_draws(state.rng, [cloud])[1]
     view_p = apply_transform(cloud, t_p)
     view_q = apply_transform(cloud, t_q)
     if neighbors is None:
         neighbors = knn_indices(cloud.positions, cfg.knn)
-    sample = farthest_point_sampling(cloud, h, start).indices
+    if sample is None:
+        sample = pretrain_sample(cloud, cfg, start)
     loss, grads = pair_loss_and_grads(state.encoder, view_p, view_q, sample,
                                       cfg, neighbors)
     if state.head is not None:
@@ -188,19 +228,25 @@ def masked_cross_entropy(
             f"logits shape {logits.shape} does not match "
             f"({len(labels)}, {labels.num_classes})"
         )
-    rows = np.flatnonzero(labels.present_mask)
-    if len(rows) == 0:
-        raise DataError("no labeled points")
-    sub = logits[rows]
+    rows = None  # every row labeled: no mask, row index, copy or zero fill
+    sub, targets = logits, labels.labels
+    if not len(labels) or targets.min() == ABSENT:
+        rows = np.flatnonzero(labels.present_mask)
+        if len(rows) == 0:
+            raise DataError("no labeled points")
+        sub, targets = logits[rows], targets[rows]
     shifted = sub - sub.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_z
-    targets = labels.labels[rows]
-    loss = -float(np.mean(log_probs[np.arange(len(rows)), targets]))
+    picked = np.arange(len(targets)), targets
+    loss = -float(np.mean(log_probs[picked]))
     grad_rows = np.exp(log_probs)
-    grad_rows[np.arange(len(rows)), targets] -= 1.0
+    grad_rows[picked] -= 1.0
+    grad_rows /= len(targets)
+    if rows is None:
+        return loss, grad_rows
     grad = np.zeros_like(logits)
-    grad[rows] = grad_rows / len(rows)
+    grad[rows] = grad_rows
     return loss, grad
 
 

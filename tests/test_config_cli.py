@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -468,5 +471,78 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and str(taken) in err
 
+    @pytest.mark.parametrize("lines, message", [
+        ("finetune = false\n", "no classification head trained"),
+        ("pretrain = false\nfinetune = false\n", "enables neither"),
+    ])
+    def test_run_that_cannot_evaluate_is_refused_before_loading(
+            self, lines, message, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr("pointvb.experiment.load_split",
+                            lambda *a: loads.append(a))
+        config = tmp_path / "noeval.cfg"
+        config.write_text(TINY_CONFIG + lines)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert loads == [] and not (out / "pretrain.ckpt").exists()
+
     def test_unknown_subcommand(self):
         assert main(["explode"]) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_in_child(config: Path, out: Path, **env) -> tuple[int, str, int]:
+    """`pointvb run` in a child that leads a session (process group) of its
+    own; its exit code, standard error and process group id."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "pointvb.cli", "run", "--config", str(config),
+             "--out", str(out)], env={**os.environ, "PYTHONPATH": path, **env},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as child:
+        _, err = child.communicate(timeout=600)
+    return child.returncode, err, child.pid
+
+
+class TestChildProcess:
+    """`pointvb run` as its own process: what the BLAS thread count and the
+    FPS worker can change from outside."""
+
+    @staticmethod
+    def config(tmp_path, **values) -> Path:
+        """TINY_CONFIG with `values` in place of its own."""
+        lines = [line for line in TINY_CONFIG.splitlines()
+                 if line.split(" = ")[0] not in values]
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(lines + [f"{key} = {value}" for key, value
+                                             in values.items()]) + "\n")
+        return config
+
+    # the wide case's GEMMs are large enough for OpenBLAS to use two threads
+    @pytest.mark.parametrize("values", [{}, dict(
+        points_per_scene=1024, feature_dim=32, hidden_widths="64,64",
+        fps_count=256)], ids=["tiny", "wide"])
+    def test_blas_thread_count_does_not_change_bytes(self, values, tmp_path):
+        config = self.config(tmp_path, **values)
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"threads{threads}")
+            code, err, _ = run_in_child(config, outs[-1],
+                                        OPENBLAS_NUM_THREADS=threads)
+            assert code == 0, err
+        for name in ("trace.csv", "final.ckpt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+                name
+
+    @pytest.mark.parametrize("lr, code", [(0.05, 0), (1e200, 3)],
+                             ids=["success", "numeric_failure"])
+    def test_run_leaves_no_process(self, lr, code, tmp_path):
+        config = self.config(tmp_path, pretrain_steps=40, pretrain_lr=lr)
+        exit_code, err, group = run_in_child(config, tmp_path / "out")
+        assert exit_code == code, err
+        with pytest.raises(ProcessLookupError):  # nothing of its group runs
+            os.killpg(group, 0)

@@ -1,17 +1,23 @@
 import copy
+import multiprocessing
+import os
+import signal
+from dataclasses import replace
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pointvb import training
-from pointvb.errors import CheckpointError, ConfigError, DataError
+from pointvb.errors import CheckpointError, ConfigError, DataError, NumericError
 from pointvb import experiment
 from pointvb.config import default_config, train_config
 from pointvb.experiment import (
     VoxelizedScenes,
     _accumulated_step,
     load_split,
+    make_synthetic_dataset,
     run_phase,
 )
 from pointvb.geometry import (
@@ -132,6 +138,23 @@ class TestMaskedCrossEntropy:
                 logits[i, j] = orig
                 numeric[i, j] = (up - down) / (2 * step)
         assert np.max(np.abs(grad - numeric)) < 1e-6
+
+    def test_fully_labeled_rows_take_the_short_path(self, monkeypatch):
+        """Every row labeled: the loss and gradient equal those of the
+        same rows beside an unlabeled one, bit for bit, and no present mask
+        is built."""
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(9, 4))
+        targets = rng.integers(0, 4, size=8)
+        padded = SparseLabelSet(np.append(targets, -1), 4)
+        expected_loss, expected_grad = masked_cross_entropy(logits, padded)
+
+        def no_mask(self):
+            raise AssertionError("present mask built")
+        monkeypatch.setattr(SparseLabelSet, "present_mask", property(no_mask))
+        loss, grad = masked_cross_entropy(logits[:8], SparseLabelSet(targets, 4))
+        assert loss == expected_loss
+        np.testing.assert_array_equal(grad, expected_grad[:8])
 
     def test_no_labels_raises(self):
         labels = SparseLabelSet(np.full(4, -1, dtype=np.int64), 3)
@@ -437,8 +460,11 @@ class TestPlannedSteps:
         assert 3 <= len(plans) <= 4  # one plan per scene drawn
 
         def replan_every_step(state, data, cfg):
-            return experiment._train(state, data, cfg, lambda i: finetune_grads(
-                state, data.clouds[i], data.labels[i], cfg, data.neighbors[i]))
+            def compute():
+                i = int(state.rng.integers(len(data)))
+                return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
+                                      data.neighbors[i])
+            return experiment._train(state, cfg, compute)
 
         monkeypatch.setattr(experiment, "finetune", replan_every_step)
         replans = self.counting(monkeypatch, training, "plan_rows")
@@ -475,6 +501,159 @@ class TestPlannedSteps:
         assert sorted(grads) == sorted(reference)
         for name, g in reference.items():
             np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+def inline_pretrain(state, data, cfg):
+    """The pretrain phase as a loop of steps whose every FPS runs in this
+    process: the reference the prefetched phase must equal."""
+    def compute():
+        i = int(state.rng.integers(len(data)))
+        return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i])
+    trace = []
+    while state.step < cfg.iterations:
+        step, lr = state.step, poly_lr(state.step, cfg)
+        trace.append((step, lr, _accumulated_step(state, cfg, compute)))
+    return trace
+
+
+class TestFpsWorker:
+    """experiment.pretrain, whose FPS samples a forked worker computes
+    ahead, writes what the inline loop writes, byte for byte, and leaves no
+    process behind."""
+
+    CASES = {
+        "batch1": dict(iterations=12),
+        "batch2": dict(iterations=8, batch_size=2),
+        "resumed": dict(iterations=12, batch_size=2),
+        "h_at_least_m": dict(iterations=6, fps_count=100_000),
+    }
+
+    @staticmethod
+    def data_and_states(case):
+        cfg = tiny_config(**TestFpsWorker.CASES[case])
+        data = VoxelizedScenes(make_synthetic_dataset(3, 3, 256, 4), cfg)
+        state = init_state(cfg)
+        if case == "resumed":  # the phase starts at step 4, with momentum
+            inline_pretrain(state, data, replace(cfg, iterations=4))
+        return cfg, data, state, copy.deepcopy(state)
+
+    @staticmethod
+    def in_process_fps(monkeypatch):
+        """Counts the FPS calls this process makes (a forked worker counts
+        in its own copy)."""
+        return TestPlannedSteps.counting(monkeypatch, training,
+                                         "farthest_point_sampling")
+
+    @staticmethod
+    def process_starts(monkeypatch):
+        return TestPlannedSteps.counting(monkeypatch, BaseProcess, "start")
+
+    @staticmethod
+    def assert_same(tmp_path, cfg, prefetched, inline, traces):
+        assert traces[0] == traces[1]
+        for name, value in inline.param_dict().items():
+            np.testing.assert_array_equal(prefetched.param_dict()[name], value,
+                                          err_msg=name)
+        assert sorted(prefetched.momentum_buffers) == sorted(inline.momentum_buffers)
+        for name, value in inline.momentum_buffers.items():
+            np.testing.assert_array_equal(prefetched.momentum_buffers[name], value,
+                                          err_msg=name)
+        assert prefetched.rng.bit_generator.state == inline.rng.bit_generator.state
+        for name, state in (("prefetched", prefetched), ("inline", inline)):
+            save_checkpoint(state, cfg, tmp_path / f"{name}.ckpt")
+        assert (tmp_path / "prefetched.ckpt").read_bytes() == \
+            (tmp_path / "inline.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_the_inline_loop(self, case, tmp_path, monkeypatch):
+        cfg, data, prefetched, inline = self.data_and_states(case)
+        reference = inline_pretrain(inline, data, cfg)
+        fps = self.in_process_fps(monkeypatch)
+        started = self.process_starts(monkeypatch)
+        trace = experiment.pretrain(prefetched, data, cfg)
+        assert len(started) == 1
+        assert len(fps) == 1  # the worker served every later compute
+        self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker(self, tmp_path, monkeypatch):
+        """A worker that dies after two samples: the phase reads those, then
+        runs FPS in process for the rest."""
+        cfg, data, prefetched, inline = self.data_and_states("batch2")
+        reference = inline_pretrain(inline, data, cfg)
+        phase = os.getpid()
+        sent = []
+
+        def die_on_third(*args):
+            if os.getpid() != phase and len(sent) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(1)
+            return training.pretrain_sample(*args)
+
+        monkeypatch.setattr(experiment, "pretrain_sample", die_on_third)
+        fps = self.in_process_fps(monkeypatch)
+        trace = experiment.pretrain(prefetched, data, cfg)
+        computes = cfg.iterations * cfg.batch_size
+        assert len(fps) == computes - 2
+        self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_draws_otherwise(self, tmp_path, monkeypatch):
+        """A sample whose start is not the compute's own is not used."""
+        cfg, data, prefetched, inline = self.data_and_states("batch1")
+        reference = inline_pretrain(inline, data, cfg)
+        phase = os.getpid()
+
+        def draws(rng, clouds):
+            i, (t_p, t_q, start) = training.pretrain_draws(rng, clouds)
+            return i, (t_p, t_q, start + (os.getpid() != phase))
+
+        monkeypatch.setattr(experiment, "pretrain_draws", draws)
+        fps = self.in_process_fps(monkeypatch)
+        trace = experiment.pretrain(prefetched, data, cfg)
+        assert len(fps) == cfg.iterations
+        self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
+        assert multiprocessing.active_children() == []
+
+    def test_platform_without_fork(self, tmp_path, monkeypatch):
+        cfg, data, prefetched, inline = self.data_and_states("batch1")
+        reference = inline_pretrain(inline, data, cfg)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        started = self.process_starts(monkeypatch)
+        fps = self.in_process_fps(monkeypatch)
+        trace = experiment.pretrain(prefetched, data, cfg)
+        assert len(fps) == cfg.iterations and started == []
+        self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
+
+    def test_one_compute_starts_no_worker(self, monkeypatch):
+        cfg, data, state, _ = self.data_and_states("batch1")
+        cfg.iterations = 1
+        started = self.process_starts(monkeypatch)
+        assert len(experiment.pretrain(state, data, cfg)) == 1
+        assert started == []
+
+    def test_phase_that_raises_leaves_no_process(self, monkeypatch):
+        """The worker of a phase that raises at step 3 is stopped, though it
+        still has samples to send (more than the pipe holds)."""
+        cfg, data, state, _ = self.data_and_states("batch1")
+        cfg.iterations = 2000
+        workers = []
+        original = experiment.pretrain_grads
+
+        def fail_at_step_3(*args):
+            workers.extend(p.pid for p in multiprocessing.active_children())
+            if state.step == 3:
+                raise NumericError("non-finite pretrain loss")
+            return original(*args)
+
+        monkeypatch.setattr(experiment, "pretrain_grads", fail_at_step_3)
+        with pytest.raises(NumericError):
+            experiment.pretrain(state, data, cfg)
+        assert workers and multiprocessing.active_children() == []
+        for pid in set(workers):
+            with pytest.raises(ProcessLookupError):  # exited and reaped
+                os.kill(pid, 0)
 
 
 class TestAttachHead:
@@ -581,6 +760,15 @@ class TestTrainConfigValidation:
     def test_nonpositive_lr_raises(self):
         with pytest.raises(ConfigError):
             tiny_config(lr0=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", float("inf")), ("knn", 2.5), ("batch_size", True),
+        ("seed", np.int64(3)), ("fps_count", "256"), ("hidden_widths", [64, 64]),
+        ("hidden_widths", (64.0,)), ("hidden_widths", (True,)),
+    ])
+    def test_int_fields_must_be_ints(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            tiny_config(**{field: value})
 
     def test_momentum_one_raises(self):
         with pytest.raises(ConfigError):
