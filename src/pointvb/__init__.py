@@ -14,11 +14,11 @@ from .pcio import (
     subsample_labels,
 )
 from .geometry import (
-    SampleIndexSet,
     TransformSpec,
     apply_transform,
     farthest_point_sampling,
     sample_transform,
+    vote_labels,
     voxel_downsample,
 )
 from .nncore import (
@@ -30,7 +30,6 @@ from .nncore import (
     normalize_columns,
 )
 from .vbloss import (
-    CrossCorrelation,
     cross_correlation,
     gaussian_entropy,
     vb_loss,

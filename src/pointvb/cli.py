@@ -121,7 +121,7 @@ def _cmd_gradcheck(args) -> int:
     other, _ = generate_synthetic_scene(seed + 1, 32, 2)
     state = init_state(cfg)
     rng = np.random.default_rng(seed)
-    sample = farthest_point_sampling(cloud, cfg.fps_count, 0).indices
+    sample = farthest_point_sampling(cloud, cfg.fps_count, 0)
 
     def loss_fn(params):
         enc = state.encoder.copy()

@@ -31,9 +31,9 @@ def _finite_above_zero(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
-# key -> (parser, default, valid); defaults are desk scale. valid is a
-# predicate on the parsed value (None: any), false for NaN and +-inf
-# wherever a finite number is needed.
+# key -> (parser, default, valid); defaults are desk scale and fix each key's
+# type. valid is a predicate on the parsed value (None: any), false for NaN
+# and +-inf wherever a finite number is needed.
 SCHEMA: dict[str, tuple] = {
     "seed": (int, 0, _at_least(0)),
     "out_dir": (str, "out", None),
@@ -70,8 +70,17 @@ SCHEMA: dict[str, tuple] = {
 
 
 def check(key: str, value, where: str = "", line: int | None = None):
-    """value, when it lies in key's range; ConfigError naming both if not."""
-    valid = SCHEMA[key][2]
+    """value, when it has the type of key's default (an int may stand for a
+    float, a tuple's items have that of its first) and lies in key's range;
+    ConfigError naming both if not."""
+    _, default, valid = SCHEMA[key]
+    pairs = [(value, default)]
+    if type(default) is tuple and type(value) is tuple:
+        pairs = [(item, default[0]) for item in value]
+    if any(type(v) is not type(d) and (type(v), type(d)) != (int, float)
+           for v, d in pairs):
+        raise ConfigError(f"{where}value {value!r} is not of the type of key "
+                          f"'{key}' (default {default!r})", line)
     if valid is not None and not valid(value):
         raise ConfigError(f"{where}value {value!r} out of range for key '{key}'",
                           line)
@@ -154,12 +163,7 @@ class TrainConfig:
         if self.phase not in ("pretrain", "finetune"):
             raise ConfigError(f"unknown phase '{self.phase}'")
         for f in fields(self)[1:]:  # every field after phase
-            value = getattr(self, f.name)
-            ints = value if f.type == "tuple[int, ...]" else (value,)
-            if f.type in ("int", "tuple[int, ...]") and not (
-                    type(ints) is tuple and all(type(v) is int for v in ints)):
-                raise ConfigError(f"{f.name}: value {value!r} is not {f.type}")
-            check(_key(f.name, self.phase), value, f"{f.name}: ")
+            check(_key(f.name, self.phase), getattr(self, f.name), f"{f.name}: ")
 
 
 def train_config(values: dict, phase: str) -> TrainConfig:

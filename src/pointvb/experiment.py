@@ -67,9 +67,9 @@ class VoxelizedScenes:
         self.mappings = []
         self.neighbors = []
         for cloud, labels in scenes.scenes:
-            voxels, merged, mapping = voxel_downsample(cloud, labels, cfg.voxel_size)
+            voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
             self.clouds.append(voxels)
-            self.labels.append(merged)
+            self.labels.append(vote_labels(labels, mapping))
             self.mappings.append(mapping)
             self.neighbors.append(knn_indices(voxels.positions, cfg.knn))
 
@@ -104,9 +104,9 @@ def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | N
                 total[name] += grads[name]
     if total is None:
         return None
-    if len(losses) > 1:  # the mean of one is itself (x * 1.0 == x)
-        for name in total:
-            total[name] *= 1.0 / len(losses)
+    scale = 1.0 / len(losses)
+    for name in total:
+        total[name] *= scale
     lr = poly_lr(state.step, cfg)
     sgd_momentum_step(state.param_dict(), total, state.momentum_buffers, lr,
                       cfg.momentum)

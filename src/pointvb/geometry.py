@@ -30,21 +30,6 @@ class TransformSpec:
         return TransformSpec(0.0, (False, False, False), np.zeros((num_points, 3)))
 
 
-@dataclass
-class SampleIndexSet:
-    """Ordered set of H distinct point indices produced by FPS."""
-
-    indices: np.ndarray  # (H,) int64
-
-    def __post_init__(self):
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if len(np.unique(self.indices)) != len(self.indices):
-            raise DataError("sample indices must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def sample_transform(rng: np.random.Generator, num_points: int) -> TransformSpec:
     """Draw rotation ~ U[0, 2pi), mirrors ~ Bernoulli(0.5), jitter ~ N(0, 12.75)."""
     angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -70,8 +55,8 @@ def apply_transform(cloud: PointCloud, t: TransformSpec) -> PointCloud:
     return PointCloud(positions, colors)
 
 
-def farthest_point_sampling(cloud: PointCloud, h: int, start: int) -> SampleIndexSet:
-    """Greedy max-min-distance subset of h point indices, beginning at start.
+def farthest_point_sampling(cloud: PointCloud, h: int, start: int) -> np.ndarray:
+    """(h,) int64 indices of a greedy max-min-distance subset, from start.
 
     Each step picks the point maximizing the minimum Euclidean distance to
     the already selected set; ties break to the lowest index.
@@ -97,18 +82,16 @@ def farthest_point_sampling(cloud: PointCloud, h: int, start: int) -> SampleInde
         np.minimum(min_sq, sq, out=min_sq)
         min_sq[nxt] = -1.0
         nxt = int(np.argmax(min_sq))  # argmax returns the lowest tied index
-    return SampleIndexSet(indices)
+    return indices
 
 
-def voxel_downsample(
-    cloud: PointCloud, labels: SparseLabelSet, voxel_size: float
-) -> tuple[PointCloud, SparseLabelSet, np.ndarray]:
+def voxel_downsample(cloud: PointCloud, voxel_size: float
+                     ) -> tuple[PointCloud, np.ndarray]:
     """Merge points per occupied voxel into centroids.
 
-    Returns (downsampled cloud, merged labels, mapping) where mapping[i] is
-    the output index of original point i. Voxels are ordered by first
-    occurrence. The merged label is the majority present label of the
-    members (lowest class id on ties, ABSENT if no member is labeled).
+    Returns (downsampled cloud, mapping) where mapping[i] is the output
+    index of original point i; vote_labels merges labels by it. Voxels are
+    ordered by first occurrence.
     """
     if voxel_size <= 0:
         raise DataError("voxel_size must be positive")
@@ -137,7 +120,7 @@ def voxel_downsample(
     positions /= counts[:, None]
     colors /= counts[:, None]
 
-    return PointCloud(positions, colors), vote_labels(labels, mapping), mapping
+    return PointCloud(positions, colors), mapping
 
 
 def vote_labels(labels: SparseLabelSet, mapping: np.ndarray) -> SparseLabelSet:

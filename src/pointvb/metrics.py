@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DataError
 from .geometry import voxel_downsample
 from .nncore import encoder_forward
-from .pcio import SceneSet, SparseLabelSet
+from .pcio import SceneSet
 from .training import TrainConfig, TrainState, pin_blas_threads
 
 
@@ -75,10 +75,7 @@ def predict_scene(state: TrainState, cloud, cfg: TrainConfig) -> np.ndarray:
     """Per-original-point class predictions via the voxel pipeline."""
     if state.head is None:
         raise DataError("evaluation requires a classification head")
-    dense = SparseLabelSet(
-        np.full(len(cloud), -1, dtype=np.int64), cfg.num_classes
-    )
-    voxels, _, mapping = voxel_downsample(cloud, dense, cfg.voxel_size)
+    voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
     features, _ = encoder_forward(state.encoder, voxels)
     logits = features @ state.head.weight + state.head.bias
     return np.argmax(logits, axis=1)[mapping]

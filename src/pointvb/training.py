@@ -27,8 +27,8 @@ from .nncore import (
     init_encoder,
     plan_rows,
 )
-from .pcio import ABSENT, PointCloud, SparseLabelSet
-from .vbloss import cross_correlation, vb_loss_backward
+from .pcio import PointCloud, SparseLabelSet
+from .vbloss import vb_loss_backward
 
 CHECKPOINT_MAGIC = b"VPBK"
 CHECKPOINT_VERSION = 1
@@ -40,9 +40,6 @@ class HeadParams:
 
     weight: np.ndarray  # (D, S)
     bias: np.ndarray    # (S,)
-
-    def copy(self) -> "HeadParams":
-        return HeadParams(self.weight.copy(), self.bias.copy())
 
 
 @dataclass
@@ -158,12 +155,6 @@ def pair_loss_and_grads(
     feats_p, tape_p = encoder_forward(encoder, view_p, rows=sample, plan=plan)
     feats_q, tape_q = encoder_forward(encoder, view_q, rows=sample, plan=plan)
     loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, cfg)
-    if not np.isfinite(loss):
-        z = cross_correlation(feats_p, feats_q).z
-        raise NumericError(
-            f"non-finite pretrain loss; "
-            f"cross-correlation extrema [{np.nanmin(z)}, {np.nanmax(z)}]"
-        )
     grads = encoder_backward(tape_p, grad_p)
     for name, g in encoder_backward(tape_q, grad_q).items():
         grads[name] += g
@@ -182,7 +173,7 @@ def pretrain_draws(rng: np.random.Generator, clouds: list[PointCloud]
 
 def pretrain_sample(cloud: PointCloud, cfg: TrainConfig, start: int) -> np.ndarray:
     """The rows a pretrain pair correlates: min(H, M) FPS indices from start."""
-    return farthest_point_sampling(cloud, min(cfg.fps_count, len(cloud)), start).indices
+    return farthest_point_sampling(cloud, min(cfg.fps_count, len(cloud)), start)
 
 
 def pretrain_grads(
@@ -228,13 +219,10 @@ def masked_cross_entropy(
             f"logits shape {logits.shape} does not match "
             f"({len(labels)}, {labels.num_classes})"
         )
-    rows = None  # every row labeled: no mask, row index, copy or zero fill
-    sub, targets = logits, labels.labels
-    if not len(labels) or targets.min() == ABSENT:
-        rows = np.flatnonzero(labels.present_mask)
-        if len(rows) == 0:
-            raise DataError("no labeled points")
-        sub, targets = logits[rows], targets[rows]
+    rows = np.flatnonzero(labels.present_mask)
+    if len(rows) == 0:
+        raise DataError("no labeled points")
+    sub, targets = logits[rows], labels.labels[rows]
     shifted = sub - sub.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     log_probs = shifted - log_z
@@ -243,8 +231,6 @@ def masked_cross_entropy(
     grad_rows = np.exp(log_probs)
     grad_rows[picked] -= 1.0
     grad_rows /= len(targets)
-    if rows is None:
-        return loss, grad_rows
     grad = np.zeros_like(logits)
     grad[rows] = grad_rows
     return loss, grad

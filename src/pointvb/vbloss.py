@@ -4,8 +4,6 @@ entropy / log-det diagnostics for the information-theoretic objective."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import TrainConfig
@@ -15,20 +13,8 @@ from .nncore import normalize_columns
 EPSILON = 1e-12  # floor of a column norm in the normalization
 
 
-@dataclass
-class CrossCorrelation:
-    """D x D matrix of per-channel correlations between two feature views."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.ascontiguousarray(self.z, dtype=np.float64)
-        if self.z.ndim != 2 or self.z.shape[0] != self.z.shape[1]:
-            raise DataError(f"cross-correlation must be square, got {self.z.shape}")
-
-
-def cross_correlation(zp: np.ndarray, zq: np.ndarray) -> CrossCorrelation:
-    """Column-normalize both views, then correlate channel pairs.
+def cross_correlation(zp: np.ndarray, zq: np.ndarray) -> np.ndarray:
+    """D x D correlations of channel pairs of the column-normalized views.
 
     Rows of zp and zq must describe the same sampled points under the two
     views; entries are cosine correlations in [-1, 1] up to rounding.
@@ -37,7 +23,7 @@ def cross_correlation(zp: np.ndarray, zq: np.ndarray) -> CrossCorrelation:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
     a = normalize_columns(zp, EPSILON)
     b = normalize_columns(zq, EPSILON)
-    return CrossCorrelation(a.T @ b)
+    return a.T @ b
 
 
 def _scale_off_diagonal(z: np.ndarray, weight: float) -> np.ndarray:
@@ -46,10 +32,12 @@ def _scale_off_diagonal(z: np.ndarray, weight: float) -> np.ndarray:
     return out
 
 
-def vb_loss(z: CrossCorrelation, cfg: TrainConfig) -> float:
-    """Frobenius distance between the off-diagonal-scaled matrix and identity
-    (squared when cfg.squared_norm, smoother near the optimum)."""
-    gamma = _scale_off_diagonal(z.z, cfg.off_diagonal_weight)
+def vb_loss(z: np.ndarray, cfg: TrainConfig) -> float:
+    """Frobenius distance between the off-diagonal-scaled D x D matrix z and
+    identity (squared when cfg.squared_norm, smoother near the optimum)."""
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise DataError(f"cross-correlation must be square, got {z.shape}")
+    gamma = _scale_off_diagonal(z, cfg.off_diagonal_weight)
     residual = gamma - np.eye(len(gamma))
     sq = float(np.sum(residual**2))
     return sq if cfg.squared_norm else float(np.sqrt(sq))
@@ -61,24 +49,23 @@ def vb_loss_backward(
     """Loss and its exact gradients w.r.t. the raw (pre-normalization) views.
 
     Chains through centering, the norm division, and the off-diagonal
-    scaling. At an exact zero of the (unsquared) loss the gradient of the
-    norm is undefined; zero gradients are returned by convention.
+    scaling. At an exact zero of the loss zero gradients are returned (the
+    unsquared norm has none there). A non-finite loss raises NumericError.
     """
     if zp.shape != zq.shape:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
     a = normalize_columns(zp, EPSILON)
     b = normalize_columns(zq, EPSILON)
     z = a.T @ b
+    loss = vb_loss(z, cfg)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite pretrain loss; cross-correlation "
+                           f"extrema [{np.nanmin(z)}, {np.nanmax(z)}]")
+    if loss == 0.0:
+        return 0.0, np.zeros_like(zp), np.zeros_like(zq)
     residual = _scale_off_diagonal(z, cfg.off_diagonal_weight) - np.eye(len(z))
-    sq = float(np.sum(residual**2))
-    if cfg.squared_norm:
-        loss = sq
-        dz = 2.0 * _scale_off_diagonal(residual, cfg.off_diagonal_weight)
-    else:
-        loss = float(np.sqrt(sq))
-        if loss == 0.0:
-            return 0.0, np.zeros_like(zp), np.zeros_like(zq)
-        dz = _scale_off_diagonal(residual, cfg.off_diagonal_weight) / loss
+    dz = _scale_off_diagonal(residual, cfg.off_diagonal_weight)
+    dz = 2.0 * dz if cfg.squared_norm else dz / loss
     da = b @ dz.T
     db = a @ dz
     return loss, _normalize_columns_backward(zp, da), \

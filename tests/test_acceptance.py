@@ -43,7 +43,6 @@ from pointvb.training import (
     save_checkpoint,
 )
 from pointvb.vbloss import (
-    CrossCorrelation,
     cross_correlation,
     gaussian_entropy,
     vb_loss,
@@ -90,8 +89,7 @@ def heldout_views(state, num_scenes=4):
     pairs = []
     for i in range(num_scenes):
         cloud, _ = generate_synthetic_scene(10_000 + i, 2048, 4)
-        dense = SparseLabelSet(np.full(len(cloud), -1, dtype=np.int64), 4)
-        voxels, _, _ = voxel_downsample(cloud, dense, 0.05)
+        voxels, _ = voxel_downsample(cloud, 0.05)
         m = len(voxels)
         t_p = sample_transform(rng, m)
         t_q = sample_transform(rng, m)
@@ -99,7 +97,7 @@ def heldout_views(state, num_scenes=4):
                                      apply_transform(voxels, t_p))
         feats_q, _ = encoder_forward(state.encoder,
                                      apply_transform(voxels, t_q))
-        sample = farthest_point_sampling(voxels, 256, 0).indices
+        sample = farthest_point_sampling(voxels, 256, 0)
         pairs.append((feats_p[sample], feats_q[sample]))
     return pairs
 
@@ -142,7 +140,7 @@ class TestCriterion1GradientFidelity:
         rng = np.random.default_rng(seed)
         view_p = apply_transform(cloud, sample_transform(rng, len(cloud)))
         view_q = apply_transform(cloud, sample_transform(rng, len(cloud)))
-        sample = farthest_point_sampling(cloud, 16, 0).indices
+        sample = farthest_point_sampling(cloud, 16, 0)
         encoder = init_encoder(rng, 8, (8,), 4)
         vb_cfg = TrainConfig(off_diagonal_weight=0.1)
 
@@ -263,17 +261,17 @@ class TestCriterion2ClosedFormLosses:
         started = time.perf_counter()
         cfg = TrainConfig(off_diagonal_weight=0.01)
         identity_ok = all(
-            vb_loss(CrossCorrelation(np.eye(5)),
+            vb_loss(np.eye(5),
                     TrainConfig(off_diagonal_weight=lam)) == 0.0
             for lam in (0.01, 0.5, 2.0)
         )
         # only the two off-diagonal 0.5 entries deviate, each scaled by
         # 0.01: ||.|| = sqrt(2 * 0.005^2)
         half = vb_loss(
-            CrossCorrelation(np.array([[1.0, 0.5], [0.5, 1.0]])), cfg
+            np.array([[1.0, 0.5], [0.5, 1.0]]), cfg
         )
         # all-ones: off-diagonal deviations are 1, scaled to 0.01 each
-        ones = vb_loss(CrossCorrelation(np.ones((2, 2))), cfg)
+        ones = vb_loss(np.ones((2, 2)), cfg)
         ok = (
             identity_ok
             and abs(half - np.sqrt(2.0) * 0.005) < 1e-12
@@ -311,7 +309,7 @@ class TestCriterion3FpsOracle:
             positions = rng.normal(size=(m, 3))
             cloud = PointCloud(positions,
                                rng.uniform(0, 255, size=(m, 3)))
-            got = farthest_point_sampling(cloud, h, start).indices
+            got = farthest_point_sampling(cloud, h, start)
             ok = ok and list(got) == self.reference(positions, h, start)
         for _ in range(20):
             m = int(rng.integers(4, 49))
@@ -320,7 +318,7 @@ class TestCriterion3FpsOracle:
             cloud = PointCloud(positions,
                                rng.uniform(0, 255, size=(m, 3)))
             for start in range(m):
-                got = farthest_point_sampling(cloud, h, start).indices
+                got = farthest_point_sampling(cloud, h, start)
                 ok = ok and list(got) == self.reference(positions, h, start)
         elapsed = time.perf_counter() - started
         ok = ok and elapsed < 30.0
@@ -383,7 +381,7 @@ class TestCriterion5InvarianceDecorrelation:
         state = run_pretrain(0, train, iterations=6000)
         diagonals, off_diagonals = [], []
         for zp, zq in heldout_views(state):
-            z = cross_correlation(zp, zq).z
+            z = cross_correlation(zp, zq)
             d = z.shape[0]
             diagonals.append(np.mean(np.diagonal(z)))
             off_diagonals.append(

@@ -130,16 +130,16 @@ class TestFarthestPointSampling:
         positions[:, 0] = np.arange(10)
         cloud = PointCloud(positions, np.zeros((10, 3)))
         out = farthest_point_sampling(cloud, 3, start=0)
-        np.testing.assert_array_equal(out.indices, [0, 9, 4])
+        np.testing.assert_array_equal(out, [0, 9, 4])
 
     def test_single(self):
         cloud = random_cloud(np.random.default_rng(0), 8)
-        assert list(farthest_point_sampling(cloud, 1, start=5).indices) == [5]
+        assert list(farthest_point_sampling(cloud, 1, start=5)) == [5]
 
     def test_exhaustion_is_permutation(self):
         cloud = random_cloud(np.random.default_rng(1), 33)
         out = farthest_point_sampling(cloud, 33, start=7)
-        assert sorted(out.indices) == list(range(33))
+        assert sorted(out) == list(range(33))
 
     def test_exhaustion_with_duplicates(self):
         positions = np.zeros((6, 3))
@@ -147,7 +147,7 @@ class TestFarthestPointSampling:
         positions[3:, 0] = [0.0, 1.0, 2.0]
         cloud = PointCloud(positions, np.zeros((6, 3)))
         out = farthest_point_sampling(cloud, 6, start=0)
-        assert sorted(out.indices) == list(range(6))
+        assert sorted(out) == list(range(6))
 
     def test_h_too_large(self):
         cloud = random_cloud(np.random.default_rng(2), 5)
@@ -163,12 +163,12 @@ class TestFarthestPointSampling:
         start = int(rng.integers(m))
         out = farthest_point_sampling(cloud, h, start)
         np.testing.assert_array_equal(
-            out.indices, fps_reference(cloud.positions, h, start))
+            out, fps_reference(cloud.positions, h, start))
 
     def test_min_distance_non_increasing(self):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, 128)
-        full = farthest_point_sampling(cloud, 128, start=0).indices
+        full = farthest_point_sampling(cloud, 128, start=0)
         last = np.inf
         for h in range(2, 129):
             sel = cloud.positions[full[:h]]
@@ -185,7 +185,8 @@ class TestVoxelDownsample:
         positions = rng.uniform(0, 10, size=(30, 3))
         cloud = PointCloud(positions, rng.uniform(0, 255, size=(30, 3)))
         labels = SparseLabelSet(rng.integers(0, 4, size=30), 4)
-        out_cloud, out_labels, mapping = voxel_downsample(cloud, labels, 1e-6)
+        out_cloud, mapping = voxel_downsample(cloud, 1e-6)
+        out_labels = vote_labels(labels, mapping)
         assert len(out_cloud) == 30
         np.testing.assert_allclose(
             out_cloud.positions[mapping], cloud.positions, atol=1e-9)
@@ -195,7 +196,8 @@ class TestVoxelDownsample:
         cloud = PointCloud(np.array([[0.0, 0, 0], [0.005, 0, 0]]),
                            np.array([[10.0, 0, 0], [20.0, 0, 0]]))
         labels = SparseLabelSet(np.array([ABSENT, ABSENT]), 4)
-        out_cloud, out_labels, mapping = voxel_downsample(cloud, labels, 0.02)
+        out_cloud, mapping = voxel_downsample(cloud, 0.02)
+        out_labels = vote_labels(labels, mapping)
         assert len(out_cloud) == 1
         np.testing.assert_allclose(out_cloud.positions, [[0.0025, 0, 0]])
         np.testing.assert_allclose(out_cloud.colors, [[15.0, 0, 0]])
@@ -205,29 +207,27 @@ class TestVoxelDownsample:
     def test_majority_label(self):
         cloud = PointCloud(np.zeros((3, 3)) + 0.001, np.zeros((3, 3)))
         labels = SparseLabelSet(np.array([1, 1, 2]), 4)
-        _, out_labels, _ = voxel_downsample(cloud, labels, 0.02)
+        out_labels = vote_labels(labels, voxel_downsample(cloud, 0.02)[1])
         assert out_labels.labels[0] == 1
 
     def test_majority_tie_lowest_class(self):
         cloud = PointCloud(np.zeros((2, 3)) + 0.001, np.zeros((2, 3)))
         labels = SparseLabelSet(np.array([3, 1]), 4)
-        _, out_labels, _ = voxel_downsample(cloud, labels, 0.02)
+        out_labels = vote_labels(labels, voxel_downsample(cloud, 0.02)[1])
         assert out_labels.labels[0] == 1
 
     def test_mapping_total_and_count_bound(self):
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 300)
-        labels = SparseLabelSet(rng.integers(0, 4, size=300), 4)
-        out_cloud, _, mapping = voxel_downsample(cloud, labels, 0.5)
+        out_cloud, mapping = voxel_downsample(cloud, 0.5)
         assert len(out_cloud) <= 300
         assert mapping.shape == (300,)
         assert mapping.min() >= 0 and mapping.max() == len(out_cloud) - 1
 
     def test_bad_voxel_size(self):
         cloud = random_cloud(np.random.default_rng(0), 4)
-        labels = SparseLabelSet(np.zeros(4, dtype=int), 4)
         with pytest.raises(DataError):
-            voxel_downsample(cloud, labels, 0.0)
+            voxel_downsample(cloud, 0.0)
 
 
 def voxel_mapping_reference(positions, voxel_size):
@@ -267,13 +267,10 @@ class TestVoxelGrouping:
         positions = self.positions(kind, rng)
         voxel = 1.0 if kind == "wide" else 0.25
         cloud = PointCloud(positions, rng.uniform(0, 255, size=positions.shape))
-        labels = SparseLabelSet(rng.integers(-1, 4, size=len(positions)), 4)
-        out, merged, mapping = voxel_downsample(cloud, labels, voxel)
+        out, mapping = voxel_downsample(cloud, voxel)
         expected = voxel_mapping_reference(positions, voxel)
         assert len(out) == expected.max() + 1 < len(positions)
         np.testing.assert_array_equal(mapping, expected)
-        np.testing.assert_array_equal(merged.labels,
-                                      vote_labels(labels, expected).labels)
 
 
 def knn_reference(positions, k, rows=None):

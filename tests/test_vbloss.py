@@ -4,7 +4,6 @@ import pytest
 from pointvb.config import TrainConfig
 from pointvb.errors import DataError, NumericError
 from pointvb.vbloss import (
-    CrossCorrelation,
     cross_correlation,
     gaussian_entropy,
     vb_loss,
@@ -35,19 +34,19 @@ class TestCrossCorrelation:
         rng = np.random.default_rng(0)
         z = rng.normal(size=(30, 6))
         cc = cross_correlation(z, z)
-        np.testing.assert_allclose(np.diagonal(cc.z), 1.0, atol=1e-10)
+        np.testing.assert_allclose(np.diagonal(cc), 1.0, atol=1e-10)
 
     def test_orthogonal_views_zero(self):
         zp = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         zq = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         cc = cross_correlation(zp, zq)
-        np.testing.assert_allclose(cc.z, [[0.0]], atol=1e-10)
+        np.testing.assert_allclose(cc, [[0.0]], atol=1e-10)
 
     def test_hand_case_two_by_two(self):
         zp = np.array([[1.0, 0.0], [3.0, 2.0]])
         cc = cross_correlation(zp, zp)
         # both centered columns normalize to (-1, 1)/sqrt(2): all entries 1
-        np.testing.assert_allclose(cc.z, np.ones((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(cc, np.ones((2, 2)), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
@@ -56,22 +55,22 @@ class TestCrossCorrelation:
     def test_entries_bounded(self):
         rng = np.random.default_rng(1)
         cc = cross_correlation(rng.normal(size=(20, 5)), rng.normal(size=(20, 5)))
-        assert np.all(np.abs(cc.z) <= 1.0 + 1e-9)
+        assert np.all(np.abs(cc) <= 1.0 + 1e-9)
 
 
 class TestVbLoss:
     def test_identity_is_zero(self):
         for lam in (0.01, 0.5, 2.0):
-            cc = CrossCorrelation(np.eye(5))
+            cc = np.eye(5)
             assert vb_loss(cc, TrainConfig(off_diagonal_weight=lam)) == 0.0
 
     def test_hand_case_half_off_diagonal(self):
-        cc = CrossCorrelation(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        cc = np.array([[1.0, 0.5], [0.5, 1.0]])
         loss = vb_loss(cc, TrainConfig(off_diagonal_weight=0.01))
         assert abs(loss - np.sqrt(2) * 0.005) < 1e-12
 
     def test_hand_case_all_ones(self):
-        cc = CrossCorrelation(np.ones((2, 2)))
+        cc = np.ones((2, 2))
         loss = vb_loss(cc, TrainConfig(off_diagonal_weight=0.01))
         assert abs(loss - np.sqrt(2) * 0.01) < 1e-12
 
@@ -79,8 +78,7 @@ class TestVbLoss:
         rng = np.random.default_rng(2)
         for _ in range(20):
             z = rng.normal(size=(4, 4))
-            loss = vb_loss(CrossCorrelation(z),
-                           TrainConfig(off_diagonal_weight=1 / 64))
+            loss = vb_loss(z, TrainConfig(off_diagonal_weight=1 / 64))
             assert loss >= 0.0
             if not np.allclose(z, np.eye(4)):
                 assert loss > 0.0
@@ -88,17 +86,22 @@ class TestVbLoss:
     def test_off_diagonal_monotonicity(self):
         cfg = TrainConfig(off_diagonal_weight=0.1)
         z = np.eye(3)
-        previous = vb_loss(CrossCorrelation(z.copy()), cfg)
+        previous = vb_loss(z, cfg)
         for magnitude in (0.1, 0.3, 0.7, 1.0):
             z[0, 2] = magnitude
-            current = vb_loss(CrossCorrelation(z.copy()), cfg)
+            current = vb_loss(z, cfg)
             assert current >= previous
             previous = current
 
     def test_squared_variant(self):
-        cc = CrossCorrelation(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        cc = np.array([[1.0, 0.5], [0.5, 1.0]])
         cfg = TrainConfig(off_diagonal_weight=0.01, squared_norm=True)
         assert abs(vb_loss(cc, cfg) - 2 * 0.005**2) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(DataError, match="must be square"):
+            vb_loss(np.zeros(shape), TrainConfig())
 
 
 class TestVbLossBackward:
@@ -139,7 +142,7 @@ class TestVbLossBackward:
         loss, gp, gq = vb_loss_backward(zp, zp.copy(), cfg)
         # diagonal of the correlation is exactly 1, so the residual (and
         # hence the gradient) is driven by off-diagonal terms only
-        z = cross_correlation(zp, zp).z
+        z = cross_correlation(zp, zp)
         np.testing.assert_allclose(np.diagonal(z), 1.0, atol=1e-12)
         assert loss > 0.0
 
@@ -179,6 +182,15 @@ class TestVbLossBackward:
         a, _, _ = vb_loss_backward(zp, zq, cfg)
         b, _, _ = vb_loss_backward(zp[perm], zq[perm], cfg)
         assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_nan_in_one_view_raises(self, squared):
+        rng = np.random.default_rng(8)
+        zp, zq = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+        zq[3, 1] = np.nan
+        cfg = TrainConfig(off_diagonal_weight=0.1, squared_norm=squared)
+        with pytest.raises(NumericError, match="non-finite pretrain loss"):
+            vb_loss_backward(zp, zq, cfg)
 
 
 class TestGaussianEntropy:
