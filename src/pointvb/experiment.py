@@ -8,6 +8,8 @@ import contextlib
 import copy
 import functools
 import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from .errors import DataError
 from .geometry import knn_indices, vote_labels, voxel_downsample
 from .metrics import RunReport, evaluate
 from .pcio import (
+    PointCloud,
     SceneSet,
     generate_synthetic_scene,
     load_scene_set,
@@ -57,21 +60,29 @@ def make_synthetic_dataset(
                     scene_ids=[f"{split}{i:04d}" for i in range(num_scenes)])
 
 
+def _voxelized(cloud: PointCloud, cfg: TrainConfig) -> tuple:
+    """One scene's voxels, point-to-voxel mapping and kNN graph."""
+    voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
+    return voxels, mapping, knn_indices(voxels.positions, cfg.knn)
+
+
 class VoxelizedScenes:
-    """Per-scene voxelized clouds with cached kNN graphs for training."""
+    """Per-scene voxelized clouds with cached kNN graphs for training, built
+    on a pool of one thread per usable core that ends with the constructor."""
 
     def __init__(self, scenes: SceneSet, cfg: TrainConfig):
+        cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        with ThreadPoolExecutor(cores and len(cores)) as pool:
+            built = list(pool.map(_voxelized, [cloud for cloud, _ in scenes.scenes],
+                                  [cfg] * len(scenes.scenes)))
+        self.clouds, self.mappings, self.neighbors = \
+            map(list, zip(*built)) if built else ([], [], [])
+        self._label(scenes)
+
+    def _label(self, scenes: SceneSet) -> None:
         self.scenes = scenes
-        self.clouds = []
-        self.labels = []
-        self.mappings = []
-        self.neighbors = []
-        for cloud, labels in scenes.scenes:
-            voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
-            self.clouds.append(voxels)
-            self.labels.append(vote_labels(labels, mapping))
-            self.mappings.append(mapping)
-            self.neighbors.append(knn_indices(voxels.positions, cfg.knn))
+        self.labels = [vote_labels(labels, mapping) for (_, labels), mapping
+                       in zip(scenes.scenes, self.mappings)]
 
     def __len__(self) -> int:
         return len(self.clouds)
@@ -79,9 +90,7 @@ class VoxelizedScenes:
     def relabeled(self, scenes: SceneSet) -> "VoxelizedScenes":
         """These voxels and kNN graphs, labeled by `scenes` (the same clouds)."""
         data = copy.copy(self)
-        data.scenes = scenes
-        data.labels = [vote_labels(labels, mapping) for (_, labels), mapping
-                       in zip(scenes.scenes, self.mappings)]
+        data._label(scenes)
         return data
 
 
@@ -141,7 +150,9 @@ def pretrain(
     state.rng and sends their FPS samples ahead down a pipe, whose buffer
     bounds how far ahead it runs. Once it is gone, or a sample does not
     match its compute's draws, FPS runs in process for the rest of the
-    phase: FPS is a pure function of (cloud, H, start), so the bytes agree."""
+    phase: FPS is a pure function of (cloud, H, start), so the bytes agree.
+    View q of each pair runs on a helper thread that starts at the first
+    pair, after the fork, and ends with the phase."""
     computes = (cfg.iterations - state.step) * cfg.batch_size
     fork = computes > 1 and "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
@@ -150,6 +161,7 @@ def pretrain(
 
     def send_samples(rng):  # the worker
         conn.close()  # so that a send fails once the phase's process is gone
+        os.nice(19)  # ahead of the phase, it takes only what the views leave idle
         for _ in range(computes - 1):
             i, (_, _, start) = pretrain_draws(rng, data.clouds)
             sender.send((i, start, pretrain_sample(data.clouds[i], cfg, start)))
@@ -169,9 +181,9 @@ def pretrain(
                 fork = False
                 worker.terminate()
         return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i],
-                              draws, got[2] if fork else None)
+                              draws, got[2] if fork else None, pool)
 
-    with conn, sender:
+    with conn, sender, ThreadPoolExecutor(1) as pool:
         try:
             return _train(state, cfg, compute)
         except BaseException:

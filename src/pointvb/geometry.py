@@ -149,12 +149,15 @@ def knn_indices(positions: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((m, 0), dtype=np.int64)
     tree = cKDTree(positions)
+    cols = positions.T.copy()  # one contiguous row per axis
     out = np.empty((m, k), dtype=np.int64)
     rows = np.arange(m)
     width = min(k + 3, m)  # self, k and 2 spare: the fastest of 1-16 spare
     while len(rows):
         _, cand = tree.query(positions[rows], k=width)
-        dist = np.sum((positions[cand] - positions[rows, None]) ** 2, axis=2)
+        dist = np.zeros(cand.shape)  # (dx^2 + dy^2) + dz^2, np.sum(axis=2)'s order
+        for col in cols:
+            dist += np.square(col[cand] - col[rows, None])
         farthest = dist.max(axis=1)  # self, at 0, never raises it
         dist[cand == rows[:, None]] = np.inf
         order = np.lexsort((cand, dist), axis=1)

@@ -1,9 +1,11 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointvb import geometry
 from pointvb.errors import DataError
 from pointvb.geometry import (
     COLOR_JITTER_SIGMA,
@@ -310,6 +312,30 @@ class TestKnnIndices:
             positions = rng.normal(size=(500, 3))
         np.testing.assert_array_equal(knn_indices(positions, k),
                                       knn_reference(positions, k))
+
+    @pytest.mark.parametrize("cloud", ["lattice", "random"])
+    def test_distances_of_duplicates_and_ties(self, cloud, monkeypatch):
+        """The per-axis candidate distances equal np.sum's over an (M, w, 3)
+        gather, bit for bit, where duplicates (distance 0 beside self) and
+        exact ties (a lattice's equal offsets) meet; the graph is brute
+        force's."""
+        rng = np.random.default_rng(11)
+        base = lattice(5) if cloud == "lattice" else rng.uniform(0.0, 1.3, (125, 3))
+        positions = np.concatenate([base, base[:30], base[:5]])
+        positions = positions[rng.permutation(len(positions))]
+        keys = []
+        sorted_by = types.SimpleNamespace(**vars(np))  # geometry's np, recording
+        sorted_by.lexsort = lambda k, **kw: keys.append(k) or np.lexsort(k, **kw)
+        monkeypatch.setattr(geometry, "np", sorted_by)
+        nbrs = knn_indices(positions, 8)
+        monkeypatch.undo()
+        cand, dist = keys[0]  # the first pass covers every row
+        rows = np.arange(len(positions))
+        old = np.sum((positions[cand] - positions[rows, None]) ** 2, axis=2)
+        old[cand == rows[:, None]] = np.inf
+        np.testing.assert_array_equal(dist, old)
+        assert (old == 0.0).any() and len(keys) > 1  # duplicates; a tie re-query
+        np.testing.assert_array_equal(nbrs, knn_reference(positions, 8))
 
     def test_twenty_thousand_points(self):
         rng = np.random.default_rng(7)

@@ -2,6 +2,9 @@ import copy
 import multiprocessing
 import os
 import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -30,6 +33,7 @@ from pointvb.geometry import (
 )
 from pointvb.nncore import encoder_backward, encoder_forward, gradient_check
 from pointvb.pcio import (
+    PointCloud,
     SparseLabelSet,
     generate_synthetic_scene,
     make_directory,
@@ -359,9 +363,9 @@ class TestFinetune:
 
 
 def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
-                                   neighbors=None):
+                                   neighbors=None, pool=None):
     """pair_loss_and_grads through all-rows forwards and upstreams that are
-    zero off the sample."""
+    zero off the sample, both views on this thread."""
     feats_p, tape_p = encoder_forward(encoder, view_p, neighbors)
     feats_q, tape_q = encoder_forward(encoder, view_q, neighbors)
     loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
@@ -431,6 +435,67 @@ class TestFullGraphReference:
         state = init_state(cfg, with_head=True)
         self.assert_same(finetune_grads(state, cloud, labels, cfg, nbrs),
                          full_graph_finetune_grads(state, cloud, labels, nbrs))
+
+
+class TestVoxelizedScenes:
+    def test_equals_a_serial_build(self, monkeypatch):
+        """The pool builds each scene as a serial loop does, in scene order,
+        through experiment's knn_indices, and leaves no thread behind."""
+        scenes = make_synthetic_dataset(5, 7, 512, 4)
+        cfg = tiny_config()
+        threads = threading.active_count()
+        builders = []
+        knn = experiment.knn_indices
+        monkeypatch.setattr(experiment, "knn_indices", lambda *a: builders.append(
+            threading.get_ident()) or knn(*a))
+        data = VoxelizedScenes(scenes, cfg)
+        assert threading.active_count() == threads
+        assert len(builders) == len(data) == 7
+        assert threading.get_ident() not in builders
+        for i, (cloud, labels) in enumerate(scenes.scenes):
+            voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
+            np.testing.assert_array_equal(data.clouds[i].positions, voxels.positions)
+            np.testing.assert_array_equal(data.clouds[i].colors, voxels.colors)
+            np.testing.assert_array_equal(data.mappings[i], mapping)
+            np.testing.assert_array_equal(data.labels[i].labels,
+                                          vote_labels(labels, mapping).labels)
+            np.testing.assert_array_equal(data.neighbors[i],
+                                          knn_indices(voxels.positions, cfg.knn))
+
+
+class TestPairThreads:
+    @pytest.mark.parametrize("failing", ["p", "q"])
+    def test_numeric_error_in_one_view(self, failing, monkeypatch):
+        """A view whose forward raises fails the pair with its NumericError,
+        and only once the other view's forward, slowed here, has finished:
+        no submitted work is left pending."""
+        cloud, _ = tiny_scene()
+        cfg = tiny_config()
+        encoder = init_state(cfg).encoder
+        nan = PointCloud(cloud.positions, np.full_like(cloud.colors, np.nan))
+        views = {"p": cloud, "q": cloud}
+        views[failing] = nan
+        forward, finished = training.encoder_forward, []
+
+        def slow_when_finite(encoder, view, **kwargs):
+            if view is not nan:
+                time.sleep(0.05)
+            result = forward(encoder, view, **kwargs)
+            finished.append(threading.get_ident())
+            return result
+
+        monkeypatch.setattr(training, "encoder_forward", slow_when_finite)
+        sample = farthest_point_sampling(cloud, cfg.fps_count, 0)
+        with ThreadPoolExecutor(1) as pool:
+            submit, submitted = pool.submit, []
+            pool.submit = lambda *a, **k: submitted.append(submit(*a, **k)) \
+                or submitted[-1]
+            with pytest.raises(NumericError, match="non-finite encoder input"):
+                pair_loss_and_grads(encoder, views["p"], views["q"], sample, cfg,
+                                    knn_indices(cloud.positions, cfg.knn), pool)
+            assert len(submitted) == 1 and submitted[0].done()
+            assert len(finished) == 1
+            assert (finished[0] == threading.get_ident()) == (failing == "q")
 
 
 class TestPlannedSteps:
@@ -572,6 +637,29 @@ class TestFpsWorker:
         assert len(fps) == 1  # the worker served every later compute
         self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
         assert multiprocessing.active_children() == []
+
+    def test_two_phases_in_one_process(self, tmp_path, monkeypatch):
+        """Two pretrain phases in a row each equal the inline loop; view q
+        runs on a helper thread, no helper thread is alive at either fork,
+        and each phase leaves no thread or process behind."""
+        cfg, data, prefetched, inline = self.data_and_states("batch1")
+        threads = threading.active_count()
+        at_fork, viewers = [], set()
+        start, forward = BaseProcess.start, training.encoder_forward
+        monkeypatch.setattr(BaseProcess, "start", lambda process: at_fork.append(
+            threading.active_count()) or start(process))
+        monkeypatch.setattr(training, "encoder_forward", lambda *a, **k: viewers.add(
+            threading.get_ident()) or forward(*a, **k))
+        for iterations in (5, 12):
+            phase_cfg = replace(cfg, iterations=iterations)
+            reference = inline_pretrain(inline, data, phase_cfg)
+            trace = experiment.pretrain(prefetched, data, phase_cfg)
+            self.assert_same(tmp_path, phase_cfg, prefetched, inline,
+                             (trace, reference))
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
+        assert at_fork == [threads, threads]
+        assert viewers - {threading.get_ident()}
 
     def test_killed_worker(self, tmp_path, monkeypatch):
         """A worker that dies after two samples: the phase reads those, then
