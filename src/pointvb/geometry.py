@@ -25,10 +25,6 @@ class TransformSpec:
     mirror_flags: tuple[bool, bool, bool]
     color_jitter: np.ndarray
 
-    @staticmethod
-    def identity(num_points: int) -> "TransformSpec":
-        return TransformSpec(0.0, (False, False, False), np.zeros((num_points, 3)))
-
 
 def sample_transform(rng: np.random.Generator, num_points: int) -> TransformSpec:
     """Draw rotation ~ U[0, 2pi), mirrors ~ Bernoulli(0.5), jitter ~ N(0, 12.75)."""

@@ -37,10 +37,6 @@ class ConfusionMatrix:
             raise DataError("class id out of range")
         np.add.at(self.counts, (truth, predicted), 1)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def miou(cm: ConfusionMatrix) -> tuple[list[float | None], float]:
     """Per-class IoU (None where TP+FP+FN = 0) and the mean over the rest."""

@@ -10,7 +10,7 @@ in float64 so 1e-5 gradient tolerances are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -38,11 +38,6 @@ class EncoderParams:
     @property
     def feature_dim(self) -> int:
         return self.weights[-1].shape[1]
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases], self.knn
-        )
 
 
 @dataclass
@@ -85,11 +80,11 @@ def init_encoder(
     return EncoderParams(weights, biases, knn)
 
 
-def encoder_params_dict(params: EncoderParams, prefix: str = "enc") -> dict[str, np.ndarray]:
+def encoder_params_dict(params: EncoderParams) -> dict[str, np.ndarray]:
     out = {}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out[f"{prefix}.w{i}"] = w
-        out[f"{prefix}.b{i}"] = b
+        out[f"enc.w{i}"] = w
+        out[f"enc.b{i}"] = b
     return out
 
 
@@ -219,37 +214,15 @@ def normalize_columns(features: np.ndarray, epsilon: float = 1e-12) -> np.ndarra
     return centered / np.maximum(norms, epsilon)
 
 
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_error: float
-    checked: int
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry] = field(default_factory=list)
-    tolerance: float = 1e-5
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
 def gradient_check(
     loss_fn,
     params: dict[str, np.ndarray],
     analytic: dict[str, np.ndarray],
     step: float = 1e-5,
-    tolerance: float = 1e-5,
     samples_per_tensor: int = 200,
     rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+) -> dict[str, float]:
+    """Each tensor's worst relative error against central finite differences.
 
     loss_fn maps the parameter dict to a scalar; for each tensor up to
     samples_per_tensor coordinates are perturbed (all of them when the
@@ -259,7 +232,7 @@ def gradient_check(
         raise DataError("step must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    report = GradCheckReport(tolerance=tolerance)
+    errors = {}
     work = {name: value.copy() for name, value in params.items()}
     for name, tensor in work.items():
         flat = tensor.reshape(-1)
@@ -282,5 +255,5 @@ def gradient_check(
             a = analytic[name].reshape(-1)[c]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
-        report.entries.append(GradCheckEntry(name, worst, len(coords)))
-    return report
+        errors[name] = worst
+    return errors

@@ -1,8 +1,9 @@
 """Point-cloud and label ingestion, synthetic scenes, and dataset manifests.
 
 Clouds are position+color arrays; labels are per-point class ids with -1
-marking unlabeled points. PLY support covers ASCII and binary little-endian
-vertex data with x/y/z float and red/green/blue uint8 properties.
+marking unlabeled points. PLY files are read from ASCII or binary
+little-endian vertex data with x/y/z float and red/green/blue uint8
+properties, and written as binary.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ class PointCloud:
             raise DataError("point cloud must contain at least one point")
         if not np.isfinite(self.positions).all():
             raise DataError("non-finite coordinates in point cloud")
+        if not np.isfinite(self.colors).all():
+            raise DataError("non-finite colors in point cloud")
         np.clip(self.colors, 0.0, 255.0, out=self.colors)
 
     def __len__(self) -> int:
@@ -78,10 +81,6 @@ class SparseLabelSet:
     @property
     def present_mask(self) -> np.ndarray:
         return self.labels != ABSENT
-
-    @property
-    def num_present(self) -> int:
-        return int(self.present_mask.sum())
 
 
 @dataclass
@@ -253,37 +252,27 @@ def load_ply(path: str | Path) -> PointCloud:
     return PointCloud(values[:, :3], values[:, 3:])
 
 
-def save_ply(cloud: PointCloud, path: str | Path, binary: bool = True) -> None:
-    """Write a cloud as PLY; binary uses double precision for bit-exact I/O."""
-    path = Path(path)
+def save_ply(cloud: PointCloud, path: str | Path) -> None:
+    """Write a cloud as binary PLY, in double precision for bit-exact I/O."""
     m = len(cloud)
-    colors = np.rint(cloud.colors).astype(np.uint8)
-    coord_type = "double" if binary else "float"
     header = (
         "ply\n"
-        f"format {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+        "format binary_little_endian 1.0\n"
         f"element vertex {m}\n"
-        f"property {coord_type} x\n"
-        f"property {coord_type} y\n"
-        f"property {coord_type} z\n"
+        "property double x\n"
+        "property double y\n"
+        "property double z\n"
         "property uchar red\n"
         "property uchar green\n"
         "property uchar blue\n"
         "end_header\n"
     )
+    records = np.empty(m, dtype=[("xyz", "<f8", 3), ("rgb", "u1", 3)])
+    records["xyz"] = cloud.positions
+    records["rgb"] = np.rint(cloud.colors).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            records = np.empty(m, dtype=[("xyz", "<f8", 3), ("rgb", "u1", 3)])
-            records["xyz"] = cloud.positions
-            records["rgb"] = colors
-            fh.write(records.tobytes())
-        else:
-            for p, c in zip(cloud.positions, colors):
-                fh.write(
-                    f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
-                    f"{c[0]} {c[1]} {c[2]}\n".encode("ascii")
-                )
+        fh.write(records.tobytes())
 
 
 def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLabelSet:
@@ -421,27 +410,18 @@ def write_scene_set(scenes: SceneSet, directory: str | Path) -> None:
     """Write scenes as scene_<id>.ply + scene_<id>.labels files."""
     directory = make_directory(directory)
     for scene_id, (cloud, labels) in zip(scenes.scene_ids, scenes.scenes):
-        save_ply(cloud, directory / f"scene_{scene_id}.ply", binary=True)
+        save_ply(cloud, directory / f"scene_{scene_id}.ply")
         save_labels(labels, directory / f"scene_{scene_id}.labels")
-    (directory / "split.txt").write_text(f"{scenes.split}\n", encoding="ascii")
 
 
 def load_scene_set(
-    directory: str | Path, num_classes: int, split: str | None = None
+    directory: str | Path, num_classes: int, split: str
 ) -> SceneSet:
     """Load a scene_<id>.ply + scene_<id>.labels manifest directory."""
     directory = Path(directory)
     ply_files = sorted(directory.glob("scene_*.ply"))
     if not ply_files:
         raise DataError(f"no scene_*.ply files in {directory}")
-    if split is None:
-        split_file = directory / "split.txt"
-        try:
-            split = split_file.read_text(encoding="ascii").strip()
-        except FileNotFoundError:
-            split = "train"
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"{split_file}: cannot read: {exc}") from None
     scenes = []
     scene_ids = []
     for ply_path in ply_files:

@@ -29,7 +29,7 @@ from pointvb.geometry import (
     voxel_downsample,
 )
 from pointvb.metrics import ConfusionMatrix, evaluate, miou
-from pointvb.nncore import encoder_forward, init_encoder
+from pointvb.nncore import EncoderParams, encoder_forward, init_encoder
 from pointvb.pcio import PointCloud, SparseLabelSet, generate_synthetic_scene
 from pointvb.training import (
     TrainConfig,
@@ -145,11 +145,11 @@ class TestCriterion1GradientFidelity:
         vb_cfg = TrainConfig(off_diagonal_weight=0.1)
 
         def loss_fn(params):
-            probe = encoder.copy()
-            probe.weights = [params[f"enc.w{i}"] for i in range(2)]
-            probe.biases = [
-                params.get(f"enc.b{i}", encoder.biases[i]) for i in range(2)
-            ]
+            probe = EncoderParams(
+                [params[f"enc.w{i}"] for i in range(2)],
+                [params.get(f"enc.b{i}", encoder.biases[i]) for i in range(2)],
+                encoder.knn,
+            )
             fp, _ = encoder_forward(probe, view_p)
             fq, _ = encoder_forward(probe, view_q)
             loss, _, _ = vb_loss_backward(fp[sample], fq[sample], vb_cfg)

@@ -26,6 +26,7 @@ from pointvb.training import (
     TrainConfig,
     init_state,
     load_checkpoint,
+    pair_loss_and_grads,
     save_checkpoint,
 )
 
@@ -302,12 +303,25 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["synth", "--config", str(tiny_config_file),
                      "--out", str(out)]) == 0
-        assert (out / "data" / "train" / "split.txt").exists()
-        assert (out / "data" / "val" / "split.txt").exists()
+        for split, count in (("train", 3), ("val", 2)):
+            for suffix in (".ply", ".labels"):
+                written = sorted((out / "data" / split).glob(f"scene_*{suffix}"))
+                assert len(written) == count, (split, suffix)
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_gradcheck_fails_on_wrong_gradients(self, capsys, monkeypatch):
+        def scaled(*args):
+            loss, grads = pair_loss_and_grads(*args)
+            return loss, {name: 1.01 * g for name, g in grads.items()}
+
+        monkeypatch.setattr("pointvb.cli.pair_loss_and_grads", scaled)
+        assert main(["gradcheck"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL max relative error")
+        assert "(tolerance 1e-05)" in out
 
     def test_seed_override_changes_results(self, tiny_config_file, tmp_path):
         a = tmp_path / "a"
@@ -379,6 +393,24 @@ class TestCli:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and str(taken) in err
+
+    def test_nonfinite_ply_color_exit_code(self, tiny_config_file, tmp_path,
+                                           capsys):
+        data = tmp_path / "out" / "data"
+        assert main(["synth", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        bad = sorted((data / "train").glob("scene_*.ply"))[0]
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
+                       "property float x\nproperty float y\nproperty float z\n"
+                       "property uchar red\nproperty uchar green\n"
+                       "property uchar blue\nend_header\n"
+                       "0 0 0 10 20 30\n1 0 0 nan 20 30\n")
+        on_disk = tmp_path / "on_disk.cfg"
+        on_disk.write_text(TINY_CONFIG + f"data_dir = {data}\n")
+        assert main(["run", "--config", str(on_disk),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "non-finite colors" in err
 
     def test_corrupt_checkpoint_exit_code(self, tiny_config_file, tmp_path,
                                           capsys):

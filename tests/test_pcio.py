@@ -75,7 +75,7 @@ class TestLoadPly:
         cloud = PointCloud(rng.normal(size=(50, 3)),
                            rng.integers(0, 256, size=(50, 3)).astype(float))
         path = tmp_path / "rt.ply"
-        save_ply(cloud, path, binary=True)
+        save_ply(cloud, path)
         loaded = load_ply(path)
         np.testing.assert_array_equal(loaded.positions, cloud.positions)
         np.testing.assert_array_equal(loaded.colors, cloud.colors)
@@ -89,19 +89,29 @@ class TestLoadPly:
         rng = np.random.default_rng(4)
         cloud = PointCloud(rng.normal(size=(20, 3)),
                            rng.integers(0, 256, size=(20, 3)).astype(float))
+        header = ASCII_PLY.split("end_header\n")[0].replace("vertex 3", "vertex 20")
         path = tmp_path / "rt.ply"
-        save_ply(cloud, path, binary=False)
+        path.write_text(header + "end_header\n" + "".join(
+            "%.17g %.17g %.17g %d %d %d\n" % (*p, *c)
+            for p, c in zip(cloud.positions, cloud.colors)))
         loaded = load_ply(path)
         np.testing.assert_allclose(loaded.positions, cloud.positions, rtol=0,
                                    atol=0)  # %.17g round-trips float64
         np.testing.assert_array_equal(loaded.colors, cloud.colors)
+
+    def test_nonfinite_ascii_color(self, tmp_path):
+        # np.clip keeps a NaN, so the cloud must reject it before the clamp
+        path = tmp_path / "nan.ply"
+        path.write_text(ASCII_PLY.replace("1 0 0 255 0 0", "1 0 0 nan 0 0"))
+        with pytest.raises(DataError, match="non-finite colors"):
+            load_ply(path)
 
     def test_ascii_and_binary_agree(self, tmp_path):
         path = tmp_path / "tri.ply"
         path.write_text(ASCII_PLY)
         ascii_cloud = load_ply(path)
         bin_path = tmp_path / "tri_bin.ply"
-        save_ply(ascii_cloud, bin_path, binary=True)
+        save_ply(ascii_cloud, bin_path)
         bin_cloud = load_ply(bin_path)
         np.testing.assert_array_equal(ascii_cloud.positions, bin_cloud.positions)
         np.testing.assert_array_equal(ascii_cloud.colors, bin_cloud.colors)
@@ -127,7 +137,7 @@ class TestLoadPly:
 
     def test_truncated_binary_payload(self, tmp_path):
         path = tmp_path / "rt.ply"
-        save_ply(small_cloud(), path, binary=True)
+        save_ply(small_cloud(), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(PlyParseError, match="truncated"):
@@ -180,13 +190,13 @@ class TestLabels:
         path = tmp_path / "l.txt"
         path.write_text("")
         labels = load_labels(path, 20, 8)
-        assert labels.num_present == 0
+        assert labels.present_mask.sum() == 0
 
     def test_comments_allowed(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("# header\n0 3  # trailing\n\n5 1\n")
         labels = load_labels(path, 20, 8)
-        assert labels.num_present == 2
+        assert labels.present_mask.sum() == 2
 
     def test_class_out_of_range(self, tmp_path):
         path = tmp_path / "l.txt"
@@ -280,7 +290,7 @@ class TestSyntheticScene:
 
     def test_fully_labeled(self):
         _, labels = generate_synthetic_scene(7, 2048, 4)
-        assert labels.num_present == 2048
+        assert labels.present_mask.sum() == 2048
         assert labels.labels.max() < 4
         assert set(np.unique(labels.labels)) == {0, 1, 2, 3}
 
@@ -307,7 +317,7 @@ class TestSubsampleLabels:
     def test_exact_subset(self):
         labels = self.full()
         out = subsample_labels(labels, 20, seed=1)
-        assert out.num_present == 20
+        assert out.present_mask.sum() == 20
         kept = np.flatnonzero(out.present_mask)
         np.testing.assert_array_equal(out.labels[kept], labels.labels[kept])
 
@@ -330,7 +340,7 @@ class TestSceneSet:
             split="train",
         )
         write_scene_set(scenes, tmp_path / "data")
-        loaded = load_scene_set(tmp_path / "data", num_classes=4)
+        loaded = load_scene_set(tmp_path / "data", 4, "train")
         assert len(loaded) == 3
         assert loaded.split == "train"
         for (c1, l1), (c2, l2) in zip(scenes.scenes, loaded.scenes):
@@ -339,14 +349,14 @@ class TestSceneSet:
             # colors round through uint8
             np.testing.assert_allclose(c1.colors, c2.colors, atol=0.5)
 
-    def test_unreadable_split_file(self, tmp_path):
+    def test_old_split_file_ignored(self, tmp_path):
+        """Directories written with a split.txt still load; the file is
+        neither read nor written."""
         scenes = SceneSet([generate_synthetic_scene(0, 64, 4)], split="val")
         write_scene_set(scenes, tmp_path)
-        (tmp_path / "split.txt").unlink()
-        assert load_scene_set(tmp_path, num_classes=4).split == "train"
-        (tmp_path / "split.txt").mkdir()
-        with pytest.raises(DataError, match="split.txt"):
-            load_scene_set(tmp_path, num_classes=4)
+        assert not (tmp_path / "split.txt").exists()
+        (tmp_path / "split.txt").mkdir()  # unreadable as a file
+        assert load_scene_set(tmp_path, 4, "val").split == "val"
 
     def test_duplicate_ids_rejected(self):
         scene = generate_synthetic_scene(0, 64, 4)

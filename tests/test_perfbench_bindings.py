@@ -88,3 +88,30 @@ def test_every_imported_name_is_read(tracer):
                 if name not in read and binding not in bound:
                     unread.append(binding)
     assert not unread, unread
+
+
+def test_every_definition_is_read(tracer):
+    """Each function, class and method the package defines (but dunders,
+    which Python calls) is read somewhere in the package as a name or an
+    attribute, re-exported by __init__, or bound by the tracer.
+
+    Names are matched alone, without their owner: a member that shares its
+    name with one read elsewhere (say a `total` or `copy` method, when some
+    other object's `.total` or `.copy` is read) passes unseen."""
+    bindings = [b for op in tracer.OPS for b in op.bindings]
+    bindings += [tracer.STEP_BINDING, tracer.SCENE_BINDING, tracer.CLI_BINDING]
+    read = {binding.split(":")[1] for binding in bindings}
+    defined = []
+    for path in sorted(Path(pointvb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias) and path.name == "__init__.py":
+                read.add(node.asname or node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not node.name.startswith("__"):
+                defined.append((path.stem, node.name))
+    unread = [f"{module}.{name}" for module, name in defined if name not in read]
+    assert not unread, unread

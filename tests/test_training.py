@@ -286,11 +286,11 @@ class TestPretrain:
             loss, _ = pretrain_grads(probe, cloud, cfg)
             return loss
 
-        report = gradient_check(
+        errors = gradient_check(
             loss_fn, frozen.param_dict(), grads,
             samples_per_tensor=40, rng=np.random.default_rng(3),
         )
-        assert report.passed, f"max rel error {report.max_rel_error}"
+        assert max(errors.values()) < 1e-5, errors
 
 
 class TestFinetune:
@@ -355,11 +355,11 @@ class TestFinetune:
             loss, _ = finetune_grads(probe, cloud, labels, cfg)
             return loss
 
-        report = gradient_check(
+        errors = gradient_check(
             loss_fn, state.param_dict(), grads,
             samples_per_tensor=40, rng=np.random.default_rng(4),
         )
-        assert report.passed, f"max rel error {report.max_rel_error}"
+        assert max(errors.values()) < 1e-5, errors
 
 
 def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
@@ -472,7 +472,8 @@ class TestPairThreads:
         cloud, _ = tiny_scene()
         cfg = tiny_config()
         encoder = init_state(cfg).encoder
-        nan = PointCloud(cloud.positions, np.full_like(cloud.colors, np.nan))
+        nan = PointCloud(cloud.positions, cloud.colors.copy())
+        nan.colors[:] = np.nan  # a cloud rejects NaN colors only when built
         views = {"p": cloud, "q": cloud}
         views[failing] = nan
         forward, finished = training.encoder_forward, []
