@@ -35,13 +35,12 @@ from .training import (
     finetune_plan,
     init_state,
     load_checkpoint,
-    pin_blas_threads,
     poly_lr,
     pretrain_draws,
     pretrain_grads,
     pretrain_sample,
-    retain_freed_heap,
     save_checkpoint,
+    set_up_process,
     sgd_momentum_step,
 )
 
@@ -128,8 +127,7 @@ def _train(state: TrainState, cfg: TrainConfig, compute
     """The loop of both phases: steps until cfg.iterations, each averaging
     cfg.batch_size compute() calls. Returns (step, lr, loss) for every step
     that ran."""
-    retain_freed_heap()
-    pin_blas_threads()
+    set_up_process()
     trace = []
     while state.step < cfg.iterations:
         step = state.step

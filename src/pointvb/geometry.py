@@ -134,11 +134,12 @@ def knn_indices(positions: np.ndarray, k: int) -> np.ndarray:
     """(M, k) indices of each point's k nearest other points, nearest first,
     ties to the lowest index; k = 0 yields an empty (M, 0) array.
 
-    KD-tree candidates get exact squared distances, by difference; self is
-    dropped by index (duplicates sit at distance 0); rows sort by (distance,
-    index). A row whose farthest candidate is not strictly farther than its
-    k-th neighbor may miss a tie: it is queried again with twice as many
-    candidates, up to M."""
+    Rows are queried in the KD-tree's leaf order. Candidates get exact
+    squared distances, by difference, and self gets -1 so it sorts first
+    (duplicates sit at 0); only rows the tree left out of (distance, index)
+    order are sorted. A row whose farthest candidate is not strictly farther
+    than its k-th neighbor may miss a tie: it is queried again with twice as
+    many candidates, up to M."""
     m = len(positions)
     if k >= m:
         raise DataError(f"k = {k} must be smaller than point count {m}")
@@ -147,18 +148,21 @@ def knn_indices(positions: np.ndarray, k: int) -> np.ndarray:
     tree = cKDTree(positions)
     cols = positions.T.copy()  # one contiguous row per axis
     out = np.empty((m, k), dtype=np.int64)
-    rows = np.arange(m)
+    rows = tree.indices  # neighboring queries walk neighboring leaves
     width = min(k + 3, m)  # self, k and 2 spare: the fastest of 1-16 spare
     while len(rows):
         _, cand = tree.query(positions[rows], k=width)
         dist = np.zeros(cand.shape)  # (dx^2 + dy^2) + dz^2, np.sum(axis=2)'s order
         for col in cols:
             dist += np.square(col[cand] - col[rows, None])
-        farthest = dist.max(axis=1)  # self, at 0, never raises it
-        dist[cand == rows[:, None]] = np.inf
-        order = np.lexsort((cand, dist), axis=1)
-        kth = np.take_along_axis(dist, order[:, k - 1:k], axis=1)[:, 0]
-        done = (farthest > kth * (1.0 + 1e-12)) | (width == m)  # 1e-12: tree rounding
-        out[rows[done]] = np.take_along_axis(cand[done], order[done, :k], axis=1)
+        dist[cand == rows[:, None]] = -1.0
+        a, b = dist[:, :-1], dist[:, 1:]  # each column and the next
+        unsorted = ((a > b) | (a == b) & (cand[:, :-1] > cand[:, 1:])).any(axis=1)
+        order = np.lexsort((cand[unsorted], dist[unsorted]), axis=1)
+        cand[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
+        dist[unsorted] = np.take_along_axis(dist[unsorted], order, axis=1)
+        # the farthest strictly past the k-th, by more than the tree's rounding
+        done = (dist[:, -1] > dist[:, k] * (1.0 + 1e-12)) | (width == m)
+        out[rows[done]] = cand[done, 1:k + 1]
         rows, width = rows[~done], min(2 * width, m)
     return out

@@ -10,7 +10,7 @@ from .errors import DataError
 from .geometry import voxel_downsample
 from .nncore import encoder_forward
 from .pcio import SceneSet
-from .training import TrainConfig, TrainState, pin_blas_threads
+from .training import TrainConfig, TrainState, set_up_process
 
 
 @dataclass
@@ -84,7 +84,7 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     point; only points with present ground truth enter the confusion
     matrix.
     """
-    pin_blas_threads()
+    set_up_process()
     cm = ConfusionMatrix.zeros(cfg.num_classes)
     any_truth = False
     for cloud, labels in scenes.scenes:

@@ -106,9 +106,10 @@ def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
 def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
               layers: int) -> RowPlan:
     """Plan `layers` encoder layers over the kNN graph neighbors (M, k) to
-    compute all M rows (rows None) or the distinct point indices rows: each
-    layer what the next reads, sorted(rows), then those rows and their
-    neighbors, layer by layer inward."""
+    compute all M rows (rows None: one pooling operator serves every hidden
+    layer) or the distinct point indices rows: each layer what the next
+    reads, sorted(rows), then those rows and their neighbors, layer by layer
+    inward."""
     m = len(neighbors)
     sets: list[np.ndarray | None] = [None] * layers
     order = None
@@ -121,7 +122,8 @@ def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
             field[sets[layer + 1]] = field[neighbors[sets[layer + 1]]] = True
             sets[layer] = np.flatnonzero(field)
     hidden = range(layers - 1)
-    poolings = [pooling_operator(neighbors, sets[i + 1], sets[i]) for i in hidden]
+    poolings = ([pooling_operator(neighbors)] * len(hidden) if rows is None else
+                [pooling_operator(neighbors, sets[i + 1], sets[i]) for i in hidden])
     keeps = [slice(None) if rows is None else np.searchsorted(sets[i], sets[i + 1])
              for i in hidden]
     return RowPlan(neighbors.shape, sets, poolings, [p.T for p in poolings],

@@ -50,7 +50,7 @@ class PointCloud:
             raise DataError("non-finite coordinates in point cloud")
         if not np.isfinite(self.colors).all():
             raise DataError("non-finite colors in point cloud")
-        np.clip(self.colors, 0.0, 255.0, out=self.colors)
+        self.colors = np.clip(self.colors, 0.0, 255.0)  # never the caller's array
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -85,20 +85,18 @@ def attach_head(state: TrainState, cfg: TrainConfig) -> None:
     state.skipped_scenes = 0
 
 
-def retain_freed_heap() -> None:
-    """Keep the tens of MB a training step frees on glibc's heap for the
-    next step, not handed back to the OS to be faulted in again (7.8k minor
-    faults, ~15 ms of a pretrain step). Process-wide; a no-op off glibc."""
+def set_up_process() -> None:
+    """Process-wide set-up every phase shares: keep the tens of MB a step or
+    scored scene frees on glibc's heap for the next, not handed back to the
+    OS to be faulted in again (7.8k minor faults, ~15 ms of a pretrain
+    step), and run NumPy's bundled OpenBLAS on one thread, whatever the
+    environment says: on two, its GEMMs sum in another order and a run's
+    bytes change. Each part is a no-op where its library or setter is
+    missing."""
     mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # libc's, on Linux
     if mallopt is not None:
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic ceiling
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc pairs them
-
-
-def pin_blas_threads() -> None:
-    """Run NumPy's bundled OpenBLAS on one thread, whatever the environment
-    says: on two, its GEMMs sum in another order and a run's bytes change.
-    Process-wide; a no-op where that library or its setter is missing."""
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
     for lib in libs.glob("libscipy_openblas64_-*.so"):
         setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_",

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointvb import experiment, metrics, training
 from pointvb.cli import main
 from pointvb.config import (
     SCHEMA,
@@ -282,6 +283,27 @@ class TestCli:
                      "pretrain.ckpt", "final.ckpt"):
             assert (out / name).read_bytes() == (full / name).read_bytes(), \
                 name
+
+    def test_every_phase_sets_up_the_process(self, tiny_config_file, tmp_path,
+                                            monkeypatch):
+        """Both training phases and evaluation call the one process set-up,
+        `pointvb eval` included, so no phase runs without the retained heap
+        or the BLAS pin."""
+        assert experiment.set_up_process is metrics.set_up_process is \
+            training.set_up_process
+        calls = []
+        for module in (experiment, metrics):
+            monkeypatch.setattr(module, "set_up_process",
+                                lambda name=module.__name__: calls.append(name))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(out)]) == 0
+        assert calls == ["pointvb.experiment"] * 2 + ["pointvb.metrics"]
+        calls.clear()
+        assert main(["eval", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(out / "final.ckpt")]) == 0
+        assert calls == ["pointvb.metrics"]
 
     def test_eval_reads_only_the_validation_split(self, tiny_config_file,
                                                   tmp_path):

@@ -4,9 +4,11 @@ import types
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from pointvb import geometry
 from pointvb.errors import DataError
+from pointvb.experiment import make_synthetic_dataset
 from pointvb.geometry import (
     COLOR_JITTER_SIGMA,
     TransformSpec,
@@ -320,24 +322,44 @@ class TestKnnIndices:
         """The per-axis candidate distances equal np.sum's over an (M, w, 3)
         gather, bit for bit, where duplicates (distance 0 beside self) and
         exact ties (a lattice's equal offsets) meet; the graph is brute
-        force's."""
+        force's. A tree that hands back each row's candidates farthest first
+        leaves every row out of order, so every row reaches the sort, whose
+        keys are recorded."""
         rng = np.random.default_rng(11)
         base = lattice(5) if cloud == "lattice" else rng.uniform(0.0, 1.3, (125, 3))
         positions = np.concatenate([base, base[:30], base[:5]])
         positions = positions[rng.permutation(len(positions))]
+
+        class FarthestFirst(cKDTree):
+            def query(self, x, k):
+                d, i = super().query(x, k=k)
+                return d[:, ::-1], i[:, ::-1]
+
         keys = []
         sorted_by = types.SimpleNamespace(**vars(np))  # geometry's np, recording
         sorted_by.lexsort = lambda k, **kw: keys.append(k) or np.lexsort(k, **kw)
         monkeypatch.setattr(geometry, "np", sorted_by)
+        monkeypatch.setattr(geometry, "cKDTree", FarthestFirst)
         nbrs = knn_indices(positions, 8)
         monkeypatch.undo()
-        cand, dist = keys[0]  # the first pass covers every row
-        rows = np.arange(len(positions))
+        cand, dist = keys[0]  # the first pass: every row, in the tree's order
+        rows = cKDTree(positions).indices
+        assert len(cand) == len(positions)
         old = np.sum((positions[cand] - positions[rows, None]) ** 2, axis=2)
-        old[cand == rows[:, None]] = np.inf
+        old[cand == rows[:, None]] = -1.0  # self sorts first
         np.testing.assert_array_equal(dist, old)
         assert (old == 0.0).any() and len(keys) > 1  # duplicates; a tie re-query
         np.testing.assert_array_equal(nbrs, knn_reference(positions, 8))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_desk_scenes(self, seed):
+        """The graphs training and evaluation build: voxelized 2,048-point
+        synthetic scenes at 5 cm, and one raw scene."""
+        scenes = make_synthetic_dataset(seed, 2, 2048, 5).scenes
+        clouds = [voxel_downsample(cloud, 0.05)[0] for cloud, _ in scenes]
+        for cloud in clouds + [scenes[0][0]]:
+            np.testing.assert_array_equal(knn_indices(cloud.positions, 16),
+                                          knn_reference(cloud.positions, 16))
 
     def test_twenty_thousand_points(self):
         rng = np.random.default_rng(7)

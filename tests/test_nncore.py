@@ -226,6 +226,15 @@ class TestRowPlan:
             for name, g in encoder_backward(fresh_tape, upstream).items():
                 np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
+    def test_full_plan_shares_one_pooling_operator(self):
+        rng = np.random.default_rng(16)
+        nbrs = knn_indices(random_cloud(rng, 40).positions, 4)
+        plan = plan_rows(nbrs, None, 4)
+        assert len(plan.poolings) == 3
+        assert all(p is plan.poolings[0] for p in plan.poolings)
+        np.testing.assert_array_equal(plan.poolings[0].toarray(),
+                                      pooling_operator(nbrs).toarray())
+
     @pytest.mark.parametrize("points, knn", [(30, 3), (20, 4)])
     def test_plan_of_another_graph_raises(self, points, knn):
         rng = np.random.default_rng(15)

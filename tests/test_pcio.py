@@ -56,6 +56,13 @@ class TestPointCloud:
         cloud = PointCloud(np.zeros((1, 3)), np.array([[-5.0, 300.0, 128.0]]))
         np.testing.assert_array_equal(cloud.colors, [[0.0, 255.0, 128.0]])
 
+    def test_clamp_leaves_the_callers_colors(self):
+        colors = np.array([[300.0, -5.0, 10.0]])
+        first = PointCloud(np.zeros((1, 3)), colors)
+        np.testing.assert_array_equal(colors, [[300.0, -5.0, 10.0]])
+        second = PointCloud(first.positions, first.colors)
+        assert not np.shares_memory(first.colors, second.colors)
+
     def test_nonfinite_positions(self):
         with pytest.raises(DataError):
             PointCloud(np.array([[np.nan, 0, 0]]), np.zeros((1, 3)))
