@@ -7,6 +7,7 @@ Subcommands: synth, pretrain, finetune, eval, gradcheck, run. Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,8 @@ from .training import (
     save_checkpoint,  # unused; perfbench/tracer.py traces this name
 )
 from .vbloss import vb_loss_backward
+
+gc.freeze()  # import-time objects live until exit: keep them from the collector
 
 GRADCHECK_TOLERANCE = 1e-5
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import nncore
 from .errors import DataError
 from .geometry import voxel_downsample
 from .nncore import encoder_forward
@@ -67,12 +69,21 @@ class RunReport:
     mean_iou: float
 
 
-def predict_scene(state: TrainState, cloud, cfg: TrainConfig) -> np.ndarray:
-    """Per-original-point class predictions via the voxel pipeline."""
+def _prepare(cloud, voxel_size: float, knn: int) -> tuple:
+    """A scene's voxels, point-to-voxel mapping and the voxels' kNN graph."""
+    voxels, mapping = voxel_downsample(cloud, voxel_size)
+    return voxels, mapping, nncore.knn_indices(voxels.positions, knn)
+
+
+def predict_scene(state: TrainState, cloud, cfg: TrainConfig,
+                  prepared: Future | None = None) -> np.ndarray:
+    """Per-original-point class predictions via the voxel pipeline; prepared
+    may hold a future of the cloud's _prepare, waited for here."""
     if state.head is None:
         raise DataError("evaluation requires a classification head")
-    voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
-    features, _ = encoder_forward(state.encoder, voxels)
+    voxels, mapping, neighbors = (prepared.result() if prepared is not None else
+                                  _prepare(cloud, cfg.voxel_size, state.encoder.knn))
+    features, _ = encoder_forward(state.encoder, voxels, neighbors)
     logits = features @ state.head.weight + state.head.bias
     return np.argmax(logits, axis=1)[mapping]
 
@@ -82,24 +93,29 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
 
     Predictions are made per voxel and projected back to every original
     point; only points with present ground truth enter the confusion
-    matrix.
+    matrix. Those scenes are scored in order while one helper thread builds
+    the next one's voxels and kNN graph, never more than one scene ahead.
     """
     set_up_process()
-    cm = ConfusionMatrix.zeros(cfg.num_classes)
-    any_truth = False
-    for cloud, labels in scenes.scenes:
+    for _, labels in scenes.scenes:
         if labels.num_classes != cfg.num_classes:
             raise DataError(
                 f"scene has {labels.num_classes} classes, model expects "
                 f"{cfg.num_classes}"
             )
-        mask = labels.present_mask
-        if not mask.any():
-            continue
-        any_truth = True
-        predicted = predict_scene(state, cloud, cfg)
-        cm.add(labels.labels[mask], predicted[mask])
-    if not any_truth:
+    scored = [scene for scene in scenes.scenes if scene[1].present_mask.any()]
+    if not scored:
         raise DataError("no scene carries ground-truth labels")
+    cm = ConfusionMatrix.zeros(cfg.num_classes)
+    with ThreadPoolExecutor(1) as pool:
+        def prepare(i: int) -> Future | None:
+            return pool.submit(_prepare, scored[i][0], cfg.voxel_size,
+                               state.encoder.knn) if i < len(scored) else None
+        ahead = prepare(0)
+        for i, (cloud, labels) in enumerate(scored):
+            current, ahead = ahead, prepare(i + 1)
+            predicted = predict_scene(state, cloud, cfg, current)
+            mask = labels.present_mask
+            cm.add(labels.labels[mask], predicted[mask])
     per_class, mean = miou(cm)
     return RunReport(per_class, mean)

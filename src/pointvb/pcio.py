@@ -327,9 +327,8 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
 def save_labels(labels: SparseLabelSet, path: str | Path) -> None:
     """Write present labels as `index class` lines."""
     rows = np.flatnonzero(labels.present_mask)
-    Path(path).write_text("".join(map("{} {}\n".format, rows.tolist(),
-                                      labels.labels[rows].tolist())),
-                          encoding="ascii")
+    pairs = np.stack([rows, labels.labels[rows]], axis=1).ravel().tolist()
+    Path(path).write_text("%d %d\n" * len(rows) % tuple(pairs), encoding="ascii")
 
 
 def generate_synthetic_scene(

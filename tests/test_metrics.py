@@ -1,13 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointvb import metrics
+from pointvb.cli import main
 from pointvb.errors import DataError
+from pointvb.experiment import make_synthetic_dataset
 from pointvb.metrics import ConfusionMatrix, RunReport, evaluate, miou, \
     predict_scene
-from pointvb.pcio import SceneSet, generate_synthetic_scene
-from pointvb.training import TrainConfig, init_state
+from pointvb.pcio import ABSENT, SceneSet, SparseLabelSet, \
+    generate_synthetic_scene, write_scene_set
+from pointvb.training import TrainConfig, init_state, save_checkpoint
 
 
 def miou_reference(truth, predicted, num_classes):
@@ -185,11 +191,89 @@ class TestEvaluate:
         assert len(report.per_class_iou) == cfg.num_classes
         assert 0.0 <= report.mean_iou <= 1.0
 
-    def test_class_count_mismatch_raises(self):
+    def test_class_count_mismatch_raises(self, monkeypatch):
+        """A second scene of another class count is refused before any
+        scene is prepared or scored."""
         cfg = small_cfg()
         scenes = SceneSet(
-            [generate_synthetic_scene(4, 256, 3)], split="val",
-            scene_ids=["v0"],
+            [generate_synthetic_scene(4, 256, 4),
+             generate_synthetic_scene(5, 256, 3)], split="val",
+            scene_ids=["v0", "v1"],
         )
-        with pytest.raises(DataError):
+        calls = []
+        monkeypatch.setattr(metrics, "_prepare", lambda *a: calls.append(a))
+        monkeypatch.setattr(metrics, "predict_scene", lambda *a: calls.append(a))
+        with pytest.raises(DataError, match="scene has 3 classes"):
             evaluate(init_state(cfg, with_head=True), scenes, cfg)
+        assert calls == []
+
+
+class TestLookAhead:
+    """evaluate builds the next scored scene's voxels and kNN graph on a
+    helper thread while it scores the current one."""
+
+    @staticmethod
+    def check_equals_scenes_alone(scenes, cfg, monkeypatch):
+        state = init_state(cfg, with_head=True)
+        alone = [predict_scene(state, cloud, cfg) for cloud, _ in scenes.scenes]
+        cm = ConfusionMatrix.zeros(cfg.num_classes)
+        for (_, labels), predicted in zip(scenes.scenes, alone):
+            mask = labels.present_mask
+            cm.add(labels.labels[mask], predicted[mask])
+        prepared, predictions = [], []
+        prepare, predict = metrics._prepare, metrics.predict_scene
+
+        def recorded_prepare(cloud, *args):
+            prepared.append(id(cloud))
+            return prepare(cloud, *args)
+
+        def recorded_predict(state, cloud, *args):
+            predictions.append((id(cloud), predict(state, cloud, *args)))
+            return predictions[-1][1]
+
+        monkeypatch.setattr(metrics, "_prepare", recorded_prepare)
+        monkeypatch.setattr(metrics, "predict_scene", recorded_predict)
+        assert evaluate(state, scenes, cfg) == RunReport(*miou(cm))
+        scored = [(id(cloud), predicted) for (cloud, labels), predicted
+                  in zip(scenes.scenes, alone) if labels.present_mask.any()]
+        assert [i for i, _ in predictions] == prepared == [i for i, _ in scored]
+        for (_, got), (_, expected) in zip(predictions, scored):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_desk_scenes_equal_scenes_alone(self, monkeypatch):
+        cfg = small_cfg()
+        scenes = make_synthetic_dataset(3, 4, 2048, 4, split="val")
+        self.check_equals_scenes_alone(scenes, cfg, monkeypatch)
+
+    def test_scene_without_truth_is_never_prepared(self, monkeypatch):
+        cfg = small_cfg()
+        scenes = make_synthetic_dataset(4, 3, 2048, 4, split="val")
+        cloud, _ = scenes.scenes[1]
+        scenes.scenes[1] = (cloud, SparseLabelSet(np.full(len(cloud), ABSENT), 4))
+        self.check_equals_scenes_alone(scenes, cfg, monkeypatch)
+
+    def test_too_few_voxels_raises_and_ends_the_helper(self, tmp_path, capsys):
+        """A second scene with fewer voxels than knn + 1 fails its graph on
+        the helper thread; the error reaches the caller and the CLI's exit
+        code, and no thread outlives evaluate."""
+        cfg = small_cfg()
+        scenes = SceneSet(
+            [generate_synthetic_scene(6, 256, 4),
+             generate_synthetic_scene(7, cfg.knn, 4),
+             generate_synthetic_scene(8, 256, 4)],
+            split="val", scene_ids=["v0", "v1", "v2"],
+        )
+        state = init_state(cfg, with_head=True)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="must be smaller than point count"):
+            evaluate(state, scenes, cfg)
+        assert threading.active_count() == threads
+        write_scene_set(scenes, tmp_path / "data" / "val")
+        config = tmp_path / "tiny.cfg"
+        config.write_text(f"data_dir = {tmp_path / 'data'}\nfeature_dim = 8\n"
+                          "hidden_widths = 16\nknn = 8\nnum_classes = 4\n")
+        save_checkpoint(state, cfg, tmp_path / "head.ckpt")
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(tmp_path / "head.ckpt")]) == 2
+        assert "must be smaller than point count" in capsys.readouterr().err
+        assert threading.active_count() == threads

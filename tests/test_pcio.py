@@ -246,9 +246,12 @@ def save_labels_reference(labels, path):
 
 class TestLabelFastPaths:
     def test_writer_bytes_equal_line_writer(self, tmp_path):
-        for seed in range(20):
-            _, full = generate_synthetic_scene(seed, 2048, 4)
-            labels = subsample_labels(full, 1 + seed * 100, seed)
+        """Sparse and full label sets, and one with no present label (an
+        empty file)."""
+        sets = [subsample_labels(generate_synthetic_scene(seed, 2048, 4)[1],
+                                 1 + seed * 100, seed) for seed in range(20)]
+        sets.append(SparseLabelSet(np.full(2048, ABSENT), 4))
+        for labels in sets:
             save_labels(labels, tmp_path / "a.labels")
             save_labels_reference(labels, tmp_path / "b.labels")
             assert (tmp_path / "a.labels").read_bytes() == \

@@ -11,15 +11,18 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pointvb
+from pointvb import metrics
 from pointvb.experiment import (
     VoxelizedScenes,
     finetune,
     make_synthetic_dataset,
     pretrain,
 )
+from pointvb.pcio import ABSENT, SparseLabelSet
 from pointvb.training import TrainConfig, attach_head, init_state
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -65,6 +68,23 @@ def test_training_steps_record_every_step_op(tracer):
     for name in ("geometry.fps", "nncore.forward", "nncore.backward",
                  "nncore.pooling_build", "vbloss.loss_backward", "training.sgd"):
         assert calls.get(name, 0) >= 1, name
+
+
+def test_evaluation_records_each_scored_scene(tracer):
+    """Under the full tracer, evaluate records one kNN build, one voxelize
+    and one predict_scene span per scored scene, including the graphs its
+    helper thread builds ahead; the scene without truth records none."""
+    scenes = make_synthetic_dataset(0, 3, 256, 4, split="val")
+    cloud, _ = scenes.scenes[1]
+    scenes.scenes[1] = (cloud, SparseLabelSet(np.full(len(cloud), ABSENT), 4))
+    cfg = TrainConfig(phase="finetune", feature_dim=8, hidden_widths=(8,), knn=4)
+    state = init_state(cfg, with_head=True)
+    with tracer.Tracer(full=True) as spans:
+        metrics.evaluate(state, scenes, cfg)  # the binding the tracer patches
+    calls = {name: stats.calls for name, stats in tracer.op_stats(spans.spans).items()}
+    assert calls["metrics.evaluate"] == 1
+    for name in ("geometry.knn", "geometry.voxelize", "metrics.predict_scene"):
+        assert calls.get(name, 0) == 2, name
 
 
 def test_every_imported_name_is_read(tracer):
