@@ -155,7 +155,6 @@ class TrainConfig:
     knn: int = SCHEMA["knn"][1]
     seed: int = SCHEMA["seed"][1]
     voxel_size: float = SCHEMA["voxel_size"][1]
-    labels_per_scene: int = SCHEMA["labels_per_scene"][1]
     num_classes: int = SCHEMA["num_classes"][1]
     squared_norm: bool = SCHEMA["squared_norm"][1]
 

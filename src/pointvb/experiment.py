@@ -93,25 +93,17 @@ class VoxelizedScenes:
         return data
 
 
-def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | None:
+def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float:
     """The optimizer step of both phases: average the (loss, grads) pairs of
-    cfg.batch_size `compute()` calls, skipping None, and take one SGD step
-    at poly_lr. Returns the mean loss, or None when every call skipped."""
-    total: dict[str, np.ndarray] | None = None
-    losses = []
-    for _ in range(cfg.batch_size):
-        result = compute()
-        if result is None:
-            continue
-        loss, grads = result
+    cfg.batch_size `compute()` calls and take one SGD step at poly_lr.
+    Returns the mean loss."""
+    loss, total = compute()
+    losses = [loss]
+    for _ in range(cfg.batch_size - 1):
+        loss, grads = compute()
         losses.append(loss)
-        if total is None:
-            total = grads
-        else:
-            for name in total:
-                total[name] += grads[name]
-    if total is None:
-        return None
+        for name in total:
+            total[name] += grads[name]
     scale = 1.0 / len(losses)
     for name in total:
         total[name] *= scale
@@ -125,16 +117,12 @@ def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float | N
 def _train(state: TrainState, cfg: TrainConfig, compute
            ) -> list[tuple[int, float, float]]:
     """The loop of both phases: steps until cfg.iterations, each averaging
-    cfg.batch_size compute() calls. Returns (step, lr, loss) for every step
-    that ran."""
+    cfg.batch_size compute() calls. Returns (step, lr, loss) for every step."""
     set_up_process()
     trace = []
     while state.step < cfg.iterations:
-        step = state.step
-        lr = poly_lr(step, cfg)
-        loss = _accumulated_step(state, cfg, compute)
-        if loss is not None:
-            trace.append((step, lr, loss))
+        step, lr = state.step, poly_lr(state.step, cfg)
+        trace.append((step, lr, _accumulated_step(state, cfg, compute)))
     return trace
 
 
@@ -198,16 +186,17 @@ def finetune(
     data: VoxelizedScenes,
     cfg: TrainConfig,
 ) -> list[tuple[int, float, float]]:
-    """Run cfg.iterations supervised steps; scenes without labeled voxels
-    are skipped and counted. A scene's finetune_plan is made in its first
+    """Run cfg.iterations supervised steps, each on scenes drawn among those
+    that carry a labeled voxel. A scene's finetune_plan is made in its first
     step and kept for the phase."""
-    if not any(lbl.present_mask.any() for lbl in data.labels):
+    labeled = [i for i, lbl in enumerate(data.labels) if lbl.present_mask.any()]
+    if not labeled:
         raise DataError("no scene carries any labeled voxel")
     planned = functools.cache(lambda i: finetune_plan(
         state.encoder, data.clouds[i], data.labels[i], data.neighbors[i]))
 
     def compute():
-        i = int(state.rng.integers(len(data)))
+        i = labeled[int(state.rng.integers(len(labeled)))]
         return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
                               planned=planned(i))
     return _train(state, cfg, compute)

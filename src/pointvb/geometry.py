@@ -91,7 +91,12 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float
     """
     if voxel_size <= 0:
         raise DataError("voxel_size must be positive")
-    keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # an infinite quotient fails the check
+        scaled = np.floor(cloud.positions / voxel_size)
+    if not ((scaled >= -2.0**63) & (scaled < 2.0**63)).all():
+        raise DataError(f"a coordinate over voxel_size {voxel_size!r} does not "
+                        "fit an int64 voxel key")
+    keys = scaled.astype(np.int64)
     by_key = np.lexsort(keys.T)  # stable: each voxel's run starts at its first point
     sorted_keys = keys[by_key]
     starts = np.r_[True, (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import struct
 import zlib
@@ -32,7 +33,7 @@ from .pcio import PointCloud, SparseLabelSet
 from .vbloss import vb_loss_backward
 
 CHECKPOINT_MAGIC = b"VPBK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -52,7 +53,6 @@ class TrainState:
     momentum_buffers: dict[str, np.ndarray]
     step: int
     rng: np.random.Generator
-    skipped_scenes: int = 0
 
     def param_dict(self) -> dict[str, np.ndarray]:
         params = encoder_params_dict(self.encoder)
@@ -82,7 +82,6 @@ def attach_head(state: TrainState, cfg: TrainConfig) -> None:
     )
     state.momentum_buffers = {}
     state.step = 0
-    state.skipped_scenes = 0
 
 
 def set_up_process() -> None:
@@ -255,12 +254,13 @@ def masked_cross_entropy(
 
 
 def finetune_plan(encoder: EncoderParams, cloud: PointCloud, labels: SparseLabelSet,
-                  neighbors: np.ndarray | None = None) -> tuple | None:
+                  neighbors: np.ndarray | None = None) -> tuple:
     """What one scene's fine-tune steps share: the plan of its labeled voxels'
-    receptive field, its encoder_input and their labels (None if unlabeled)."""
+    receptive field, its encoder_input and their labels. DataError if the
+    scene has no labeled voxel."""
     rows = np.flatnonzero(labels.present_mask)
     if len(rows) == 0:
-        return None
+        raise DataError("fine-tune scene has no labeled voxel")
     if neighbors is None:
         neighbors = knn_indices(cloud.positions, encoder.knn)
     plan = plan_rows(neighbors, rows, len(encoder.weights))
@@ -275,15 +275,11 @@ def finetune_grads(
     cfg: TrainConfig,
     neighbors: np.ndarray | None = None,
     planned: tuple | None = None,
-) -> tuple[float, dict[str, np.ndarray]] | None:
-    """Loss and gradients for one voxelized scene, or None when the scene
-    has no labeled voxels (the skip is counted); planned, the scene's
-    finetune_plan, is made here when None."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients for one voxelized scene with a labeled voxel;
+    planned, the scene's finetune_plan, is made here when None."""
     if state.head is None:
         raise DataError("finetune requires a classification head")
-    if not labels.present_mask.any():
-        state.skipped_scenes += 1
-        return None
     plan, inputs, labeled = planned or finetune_plan(state.encoder, cloud, labels,
                                                      neighbors)
     features, tape = encoder_forward(state.encoder, cloud, plan=plan, inputs=inputs)
@@ -298,50 +294,38 @@ def finetune_grads(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic "VPBK", u32 version, length-prefixed UTF-8 JSON
-# metadata, u32 tensor count, per tensor (length-prefixed name, u32 ndim,
-# u64 dims, float64 little-endian data), trailing CRC32 of all prior bytes.
+# checkpoint format, version 2: magic "VPBK", u32 version, u32 length and
+# UTF-8 JSON metadata (config, step, rng_state, encoder_knn, and `tensors`,
+# each tensor's [name, shape] in data order), every tensor's float64
+# little-endian data in that order, then the CRC32 of all prior bytes. A
+# head is stored when head.w is; the encoder has one layer per enc.w tensor.
 # ---------------------------------------------------------------------------
 
 
 def _state_tensors(state: TrainState) -> dict[str, np.ndarray]:
-    tensors = dict(state.param_dict())
-    for name, buf in state.momentum_buffers.items():
-        tensors[f"momentum.{name}"] = buf
-    return tensors
+    return {**state.param_dict(), **{f"momentum.{name}": buf for name, buf
+                                     in state.momentum_buffers.items()}}
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str | Path) -> None:
+    tensors = _state_tensors(state)
+    names = sorted(tensors)
     meta = {
         "config": {**asdict(cfg), "hidden_widths": list(cfg.hidden_widths)},
         "step": state.step,
-        "skipped_scenes": state.skipped_scenes,
         "rng_state": state.rng.bit_generator.state,
-        "has_head": state.head is not None,
         "encoder_knn": state.encoder.knn,
-        "encoder_layers": len(state.encoder.weights),
+        "tensors": [[name, list(tensors[name].shape)] for name in names],
     }
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    tensors = _state_tensors(state)
-    blob += struct.pack("<I", len(tensors))
-    for name in sorted(tensors):
-        tensor = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<I", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<I", tensor.ndim)
-        for dim in tensor.shape:
-            blob += struct.pack("<Q", dim)
-        blob += tensor.astype("<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    blob = b"".join([CHECKPOINT_MAGIC,
+                     struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
+                     meta_bytes,
+                     *(np.asarray(tensors[name], "<f8").tobytes() for name in names)])
+    blob += struct.pack("<I", zlib.crc32(blob))
     tmp = Path(f"{path}.tmp")  # renamed over path only once written whole
     try:
-        tmp.write_bytes(bytes(blob))
+        tmp.write_bytes(blob)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -364,49 +348,37 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     try:
-        pos = 8
-        (meta_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        meta = json.loads(raw[pos:pos + meta_len].decode("utf-8"))
-        pos += meta_len
-        (count,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
+        pos, end = 12 + meta_len, len(raw) - 4
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            name = raw[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{ndim}Q", raw, pos)
-            pos += 8 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            tensors[name] = np.frombuffer(
-                raw, dtype="<f8", count=size, offset=pos
-            ).reshape(shape).copy()
+        for name, shape in meta["tensors"]:
+            if type(name) is not str or \
+                    not all(type(n) is int and n >= 0 for n in shape):
+                raise ValueError(f"bad tensor entry {name!r}, {shape!r}")
+            size = math.prod(shape)
+            if pos + 8 * size > end:
+                raise ValueError(f"tensor {name!r} of shape {shape} runs past the data")
+            tensors[name] = np.frombuffer(raw, "<f8", size, pos).reshape(shape).copy()
             pos += 8 * size
+        if pos != end:
+            raise ValueError(f"{end - pos} bytes past the last tensor")
 
         cfg = TrainConfig(**{**meta["config"],
                              "hidden_widths": tuple(meta["config"]["hidden_widths"])})
-        layers = meta["encoder_layers"]
+        layers = sum(name.startswith("enc.w") for name in tensors)
         encoder = EncoderParams(
             [tensors[f"enc.w{i}"] for i in range(layers)],
             [tensors[f"enc.b{i}"] for i in range(layers)],
             meta["encoder_knn"],
         )
-        head = None
-        if meta["has_head"]:
-            head = HeadParams(tensors["head.w"], tensors["head.b"])
-        buffers = {
-            name[len("momentum."):]: tensor
-            for name, tensor in tensors.items()
-            if name.startswith("momentum.")
-        }
+        head = HeadParams(tensors["head.w"], tensors["head.b"]) \
+            if "head.w" in tensors else None
+        buffers = {name[len("momentum."):]: tensor for name, tensor in tensors.items()
+                   if name.startswith("momentum.")}
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
-        state = TrainState(encoder, head, buffers, meta["step"], rng,
-                           meta["skipped_scenes"])
+        state = TrainState(encoder, head, buffers, meta["step"], rng)
     except (KeyError, TypeError, ValueError, OverflowError, struct.error,
             ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None

@@ -66,12 +66,11 @@ def shared_pretrain_config(seed, iterations=1500):
     )
 
 
-def finetune_config(seed, labels_per_scene):
+def finetune_config(seed):
     return TrainConfig(
         phase="finetune", iterations=150, lr0=0.05, momentum=0.0,
         fps_count=256, feature_dim=32, hidden_widths=(64, 64), knn=16,
-        seed=seed, voxel_size=0.05, labels_per_scene=labels_per_scene,
-        num_classes=4,
+        seed=seed, voxel_size=0.05, num_classes=4,
     )
 
 
@@ -416,7 +415,7 @@ class TestCriterion6PretrainingHelps:
                 train = make_synthetic_dataset(seed, 64, 2048, 4, "train")
                 val = make_synthetic_dataset(seed, 16, 2048, 4, "val")
                 pre_state = run_pretrain(seed, train)
-            fine_cfg = finetune_config(seed, 20)
+            fine_cfg = finetune_config(seed)
             pretrained = finetune_and_score(pre_state, fine_cfg, train, val,
                                             20, seed)
             random_init = finetune_and_score(None, fine_cfg, train, val,
@@ -444,7 +443,7 @@ class TestCriterion7MonotoneSupervisionTrend:
         started = time.perf_counter()
         scores = []
         for labels_per_scene in (20, 50, 100, 200):
-            fine_cfg = finetune_config(0, labels_per_scene)
+            fine_cfg = finetune_config(0)
             scores.append(
                 finetune_and_score(
                     seed0_assets["state"], fine_cfg, seed0_assets["train"],

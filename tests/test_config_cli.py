@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointvb import experiment, metrics, training
+from pointvb import experiment, metrics, pcio, training
 from pointvb.cli import main
 from pointvb.config import (
     SCHEMA,
@@ -434,6 +434,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and "non-finite colors" in err
 
+    @pytest.mark.parametrize("x, voxel_size", [(1e19, 0.05), (1.0, 1e-310)])
+    def test_voxel_key_past_int64_exit_code(self, x, voxel_size, tiny_config_file,
+                                            tmp_path, capsys):
+        """A scene whose scaled coordinates overflow an int64 voxel key is a
+        data error, not two points merged into one voxel."""
+        data = tmp_path / "out" / "data"
+        assert main(["synth", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        path = sorted((data / "train").glob("scene_*.ply"))[0]
+        cloud = pcio.load_ply(path)
+        positions = cloud.positions.copy()
+        positions[:2] = [[-x, 0.0, 0.0], [x, 0.0, 0.0]]
+        pcio.save_ply(pcio.PointCloud(positions, cloud.colors), path)
+        on_disk = tmp_path / "on_disk.cfg"
+        on_disk.write_text(TINY_CONFIG + f"data_dir = {data}\n"
+                           f"voxel_size = {voxel_size!r}\n")
+        assert main(["run", "--config", str(on_disk),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "int64 voxel key" in err
+
     def test_corrupt_checkpoint_exit_code(self, tiny_config_file, tmp_path,
                                           capsys):
         fake = tmp_path / "fake.ckpt"
@@ -444,7 +465,9 @@ class TestCli:
 
     @pytest.mark.parametrize("edit", ["missing_tensor", "unknown_config_key",
                                       "empty_metadata",
-                                      "out_of_range_config_value"])
+                                      "out_of_range_config_value",
+                                      "version_1", "bytes_past_last_tensor",
+                                      "shape_larger_than_data"])
     def test_malformed_checkpoint_structure_exit_code(
             self, edit, tiny_config_file, tmp_path, capsys):
         path = tmp_path / "edited.ckpt"
@@ -454,21 +477,31 @@ class TestCli:
         raw = path.read_bytes()
         (meta_len,) = struct.unpack_from("<I", raw, 8)
         meta = json.loads(raw[12:12 + meta_len])
+        data = raw[12 + meta_len:-4]
         if edit == "missing_tensor":
-            meta["encoder_layers"] += 1  # names an enc.w tensor not stored
+            # a third layer's weights, of no size; its biases, enc.b2, are not stored
+            meta["tensors"].append(["enc.w2", [0]])
         elif edit == "unknown_config_key":
             meta["config"]["no_such_key"] = 1
         elif edit == "out_of_range_config_value":
             meta["config"]["momentum"] = 1.0
+        elif edit == "bytes_past_last_tensor":
+            data += bytes(8)
+        elif edit == "shape_larger_than_data":
+            meta["tensors"][-1][1][0] += 1
         meta_bytes = b"" if edit == "empty_metadata" else \
             json.dumps(meta).encode()
-        body = (raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
-                + raw[12 + meta_len:-4])
+        version = struct.pack("<I", 1) if edit == "version_1" else raw[4:8]
+        body = (raw[:4] + version + struct.pack("<I", len(meta_bytes))
+                + meta_bytes + data)
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert main(["eval", "--config", str(tiny_config_file),
                      "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "malformed checkpoint" in err
+        if edit == "version_1":
+            assert "data error" in err and "unsupported version 1" in err
+        else:
+            assert "data error" in err and "malformed checkpoint" in err
         if edit == "out_of_range_config_value":
             assert "'momentum'" in err
 
@@ -477,6 +510,45 @@ class TestCli:
         assert main(["run", "--out", str(out)]) == 0
         mean = (out / "report.csv").read_text().strip().splitlines()[-1]
         assert float(mean.split(",")[1]) >= 0.5
+
+    def test_run_from_a_pretrain_checkpoint(self, tiny_config_file, tmp_path):
+        """init_checkpoint = a run's pretrain.ckpt takes the place of its
+        pretraining: fine-tuning, final.ckpt and the report repeat byte for
+        byte."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(first)]) == 0
+        config = tmp_path / "init.cfg"
+        config.write_text(TINY_CONFIG +
+                          f"init_checkpoint = {first / 'pretrain.ckpt'}\n")
+        assert main(["run", "--config", str(config), "--out", str(second)]) == 0
+        assert not (second / "pretrain.ckpt").exists()
+        for name in ("finetune_trace.csv", "final.ckpt", "report.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_run_from_a_final_checkpoint(self, tiny_config_file, tmp_path,
+                                         monkeypatch):
+        """init_checkpoint = a run's final.ckpt fine-tunes its trained head
+        again, from step 0 for finetune_steps steps, and draws no new head."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(first)]) == 0
+        trained, _ = load_checkpoint(first / "final.ckpt")
+        starts, finetune = [], experiment.finetune
+        monkeypatch.setattr(experiment, "finetune", lambda state, *args: starts.append(
+            (state.step, state.head.weight.copy(), state.head.bias.copy()))
+            or finetune(state, *args))
+        config = tmp_path / "init.cfg"
+        config.write_text(TINY_CONFIG +
+                          f"init_checkpoint = {first / 'final.ckpt'}\n")
+        assert main(["run", "--config", str(config), "--out", str(second)]) == 0
+        [(step, weight, bias)] = starts
+        assert step == 0
+        np.testing.assert_array_equal(weight, trained.head.weight)
+        np.testing.assert_array_equal(bias, trained.head.bias)
+        steps = (second / "finetune_trace.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in steps] == list(range(5))
+        assert load_checkpoint(second / "final.ckpt")[0].step == 5
 
     def test_finetune_rejects_checkpoint_of_another_width(
             self, tiny_config_file, tmp_path, capsys):

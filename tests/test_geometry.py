@@ -235,6 +235,22 @@ class TestVoxelDownsample:
         with pytest.raises(DataError):
             voxel_downsample(cloud, 0.0)
 
+    @pytest.mark.parametrize("x, voxel_size", [(1e19, 0.05), (1.0, 1e-310)])
+    def test_key_past_int64_raises(self, x, voxel_size):
+        """Points whose keys overflow int64 would merge into one voxel."""
+        cloud = PointCloud(np.array([[-x, 0.0, 0.0], [x, 0.0, 0.0]]),
+                           np.zeros((2, 3)))
+        with pytest.raises(DataError, match="int64 voxel key"):
+            voxel_downsample(cloud, voxel_size)
+
+    def test_keys_at_the_int64_limits(self):
+        """-2**63 and the largest float below 2**63 are keys of their own."""
+        x = np.array([-2.0**63, np.nextafter(2.0**63, 0), 0.0])
+        cloud = PointCloud(np.c_[x, np.zeros((3, 2))], np.zeros((3, 3)))
+        out, mapping = voxel_downsample(cloud, 1.0)
+        assert len(out) == 3
+        np.testing.assert_array_equal(mapping, [0, 1, 2])
+
 
 def voxel_mapping_reference(positions, voxel_size):
     """voxel_downsample's point-to-voxel mapping through np.unique(axis=0),

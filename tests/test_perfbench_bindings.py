@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -134,4 +135,19 @@ def test_every_definition_is_read(tracer):
                     not node.name.startswith("__"):
                 defined.append((path.stem, node.name))
     unread = [f"{module}.{name}" for module, name in defined if name not in read]
+    assert not unread, unread
+
+
+def test_every_train_config_field_is_read():
+    """Each TrainConfig field is read as an attribute outside config.py, in
+    the package or by the tracer: a field that is only stored (say, in every
+    checkpoint) is a setting that nothing obeys."""
+    paths = [path for path in Path(pointvb.__file__).parent.glob("*.py")
+             if path.name != "config.py"] + [TRACER]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f.name for f in fields(TrainConfig) if f.name not in read]
     assert not unread, unread

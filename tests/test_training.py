@@ -64,7 +64,7 @@ def pretrain_step(state, cloud, cfg):
 
 
 def finetune_step(state, cloud, labels, cfg):
-    """One optimizer step on a single labeled cloud (None when skipped)."""
+    """One optimizer step on a single labeled cloud."""
     return _accumulated_step(state, cfg,
                              lambda: finetune_grads(state, cloud, labels, cfg))
 
@@ -308,6 +308,8 @@ class TestFinetune:
         assert accuracy > 0.95
 
     def test_unlabeled_scene_is_skipped(self):
+        """A scene without a labeled voxel is not skipped but refused: the
+        step raises DataError and changes nothing."""
         cloud, labels = tiny_scene()
         empty = SparseLabelSet(
             np.full(len(cloud), -1, dtype=np.int64), labels.num_classes
@@ -315,8 +317,8 @@ class TestFinetune:
         cfg = tiny_config(phase="finetune")
         state = init_state(cfg, with_head=True)
         before = {k: v.copy() for k, v in state.param_dict().items()}
-        assert finetune_step(state, cloud, empty, cfg) is None
-        assert state.skipped_scenes == 1
+        with pytest.raises(DataError, match="no labeled voxel"):
+            finetune_step(state, cloud, empty, cfg)
         assert state.step == 0
         for name, value in state.param_dict().items():
             np.testing.assert_array_equal(value, before[name])
