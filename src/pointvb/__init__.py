@@ -48,6 +48,6 @@ from .training import (
     sgd_momentum_step,
 )
 from .metrics import ConfusionMatrix, RunReport, evaluate, miou
-from .experiment import run_experiment
+from .experiment import run_experiment, sparsify_scenes
 
 __version__ = "0.1.0"

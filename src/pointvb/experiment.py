@@ -21,6 +21,7 @@ from .metrics import RunReport, evaluate
 from .pcio import (
     PointCloud,
     SceneSet,
+    SparseLabelSet,
     generate_synthetic_scene,
     load_scene_set,
     make_directory,
@@ -60,36 +61,33 @@ def make_synthetic_dataset(
 
 
 def _voxelized(cloud: PointCloud, cfg: TrainConfig) -> tuple:
-    """One scene's voxels, point-to-voxel mapping and kNN graph."""
+    """One scene's voxels, point-to-voxel mapping and kNN graph, both int32."""
     voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
-    return voxels, mapping, knn_indices(voxels.positions, cfg.knn)
+    graph = knn_indices(voxels.positions, cfg.knn)
+    return voxels, mapping.astype(np.int32), graph.astype(np.int32)
 
 
 class VoxelizedScenes:
-    """Per-scene voxelized clouds with cached kNN graphs for training, built
-    on a pool of one thread per usable core that ends with the constructor."""
+    """What training reads of each scene, not its raw cloud: the voxels, int32
+    mapping and kNN graph, the points' labels and the voxels' vote of them;
+    built on a pool of one thread per usable core that ends with the constructor."""
 
     def __init__(self, scenes: SceneSet, cfg: TrainConfig):
         cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         with ThreadPoolExecutor(cores and len(cores)) as pool:
             built = list(pool.map(_voxelized, [cloud for cloud, _ in scenes.scenes],
                                   [cfg] * len(scenes.scenes)))
-        self.clouds, self.mappings, self.neighbors = \
-            map(list, zip(*built)) if built else ([], [], [])
-        self._label(scenes)
+        self.clouds, self.mappings, self.neighbors = map(list, zip(*built))
+        self._label([labels for _, labels in scenes.scenes])
 
-    def _label(self, scenes: SceneSet) -> None:
-        self.scenes = scenes
-        self.labels = [vote_labels(labels, mapping) for (_, labels), mapping
-                       in zip(scenes.scenes, self.mappings)]
+    def _label(self, point_labels: list[SparseLabelSet]) -> None:
+        self.point_labels = point_labels
+        self.labels = [vote_labels(lbl, m) for lbl, m in zip(point_labels, self.mappings)]
 
-    def __len__(self) -> int:
-        return len(self.clouds)
-
-    def relabeled(self, scenes: SceneSet) -> "VoxelizedScenes":
-        """These voxels and kNN graphs, labeled by `scenes` (the same clouds)."""
+    def relabeled(self, point_labels: list[SparseLabelSet]) -> "VoxelizedScenes":
+        """These voxels and kNN graphs, labeled by one label set a scene."""
         data = copy.copy(self)
-        data._label(scenes)
+        data._label(point_labels)
         return data
 
 
@@ -202,13 +200,16 @@ def finetune(
     return _train(state, cfg, compute)
 
 
+def sparse_labels(label_sets, k: int, seed: int) -> list[SparseLabelSet]:
+    """Each scene's k-point uniform label subsample, scene i's from seed * 7919 + i."""
+    return [subsample_labels(lbl, k, seed * 7919 + i) for i, lbl in enumerate(label_sets)]
+
+
 def sparsify_scenes(scenes: SceneSet, k: int, seed: int) -> SceneSet:
     """Replace every scene's labels with a k-point uniform subsample."""
-    sparse = [
-        (cloud, subsample_labels(labels, k, seed * 7919 + i))
-        for i, (cloud, labels) in enumerate(scenes.scenes)
-    ]
-    return SceneSet(sparse, split=scenes.split, scene_ids=list(scenes.scene_ids))
+    clouds, labels = zip(*scenes.scenes)
+    return SceneSet(list(zip(clouds, sparse_labels(labels, k, seed))),
+                    split=scenes.split, scene_ids=list(scenes.scene_ids))
 
 
 def write_trace_csv(trace, path: Path) -> None:
@@ -253,17 +254,18 @@ def run_phase(
     when it is None; write <phase>_trace.csv and pretrain.ckpt or final.ckpt
     under out, and return the state and its (step, lr, loss) trace. For
     fine-tuning the voxels are relabeled from labels_per_scene labels a scene,
-    a headless encoder gets a fresh head, and one with a head restarts at 0."""
+    a headless encoder gets a fresh head, and one with a head restarts at
+    step 0 with fresh momentum buffers."""
     cfg = train_config(values, phase)
     if phase == "finetune":
-        data = data.relabeled(sparsify_scenes(
-            data.scenes, values["labels_per_scene"], values["seed"]))
+        data = data.relabeled(sparse_labels(
+            data.point_labels, values["labels_per_scene"], values["seed"]))
     if state is None:
         state = init_state(cfg, with_head=phase == "finetune")
     elif phase == "finetune" and state.head is None:
         attach_head(state, cfg)
     elif phase == "finetune":
-        state.step = 0
+        state.step, state.momentum_buffers = 0, {}
     if phase == "pretrain":
         trace, checkpoint = pretrain(state, data, cfg), "pretrain.ckpt"
     else:
@@ -281,26 +283,25 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
     takes the place of pretraining.
     """
     out = make_directory(out_dir)
-    state = None
+    cfg, state = train_config(values, "finetune"), None
     if values["init_checkpoint"]:
-        state, _ = load_checkpoint(values["init_checkpoint"],
-                                   train_config(values, "finetune"))
+        state, _ = load_checkpoint(values["init_checkpoint"], cfg)
     if not values["finetune"] and (state is None or state.head is None):
         if state is None and not values["pretrain"]:
             raise DataError("config enables neither pretraining nor "
                             "fine-tuning and provides no init_checkpoint")
         raise DataError("no classification head trained; cannot evaluate")
     train_scenes, val_scenes = [load_split(values, s) for s in ("train", "val")]
-
+    # both phases read these (one voxel_size and knn), and one runs only if
+    # fine-tuning does; no raw training cloud outlives this
+    data = values["finetune"] and VoxelizedScenes(train_scenes, cfg)
+    del train_scenes
     trace = []
-    data = None  # both phases read the same voxel_size and knn
     for phase in ("pretrain", "finetune"):
         if values[phase] and (phase == "finetune" or state is None):
-            data = data or VoxelizedScenes(train_scenes,
-                                           train_config(values, phase))
             state, phase_trace = run_phase(values, phase, data, state, out)
             trace.extend(phase_trace)
-    report = evaluate(state, val_scenes, train_config(values, "finetune"))
+    report = evaluate(state, val_scenes, cfg)
     write_trace_csv(trace, out / "trace.csv")
     write_report_csv(report, out / "report.csv")
     return report

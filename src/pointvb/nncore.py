@@ -57,9 +57,15 @@ class RowPlan:
 class ForwardTape(RowPlan):
     """A plan and what one forward over it recorded for the backward."""
 
-    pre_activations: list[np.ndarray]
+    relu_masks: list[np.ndarray]    # hidden layer l's z > 0, as bool
     layer_inputs: list[np.ndarray]
     params: EncoderParams
+
+
+def layer_shapes(feature_dim: int, hidden_widths: tuple[int, ...]) -> list[tuple]:
+    """Each layer's weight shape, 6 -> hidden... -> feature_dim; the input
+    after a hidden layer is its ReLU output concatenated with its neighbor mean."""
+    return list(zip((6, *(2 * w for w in hidden_widths)), (*hidden_widths, feature_dim)))
 
 
 def init_encoder(
@@ -68,16 +74,13 @@ def init_encoder(
     hidden_widths: tuple[int, ...] = (64, 64),
     knn: int = 16,
 ) -> EncoderParams:
-    """He-initialized encoder with widths 6 -> hidden... -> feature_dim."""
-    weights, biases = [], []
-    fan_in = 6
-    for width in hidden_widths:
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width)))
-        biases.append(np.zeros(width))
-        fan_in = 2 * width  # ReLU output concatenated with its neighbor mean
-    weights.append(rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, feature_dim)))
-    biases.append(np.zeros(feature_dim))
-    return EncoderParams(weights, biases, knn)
+    """He-initialized encoder of layer_shapes; the linear last layer has gain 1."""
+    shapes = layer_shapes(feature_dim, hidden_widths)
+    gains = [2.0] * len(hidden_widths) + [1.0]
+    return EncoderParams(
+        [rng.normal(0.0, np.sqrt(gain / fan_in), size=(fan_in, width))
+         for gain, (fan_in, width) in zip(gains, shapes)],
+        [np.zeros(width) for _, width in shapes], knn)
 
 
 def encoder_params_dict(params: EncoderParams) -> dict[str, np.ndarray]:
@@ -160,11 +163,11 @@ def encoder_forward(
     if plan.graph != (m, params.knn):
         raise DataError(f"graph shape {plan.graph} does not match ({m}, {params.knn})")
     x = encoder_input(cloud, plan) if inputs is None else inputs
-    layer_inputs, pre_activations = [], []
+    layer_inputs, relu_masks = [], []
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         layer_inputs.append(x)
         z = x @ w + b
-        pre_activations.append(z)
+        relu_masks.append(z > 0.0)
         a = np.maximum(z, 0.0)
         x = np.concatenate([a[plan.keeps[layer]], plan.poolings[layer] @ a], axis=1)
     layer_inputs.append(x)
@@ -173,7 +176,7 @@ def encoder_forward(
         raise NumericError("non-finite encoder output")
     if plan.order is not None:
         features[plan.order] = features.copy()
-    return features, ForwardTape(**vars(plan), pre_activations=pre_activations,
+    return features, ForwardTape(**vars(plan), relu_masks=relu_masks,
                                  layer_inputs=layer_inputs, params=params)
 
 
@@ -194,7 +197,7 @@ def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.nd
             # transpose of the neighbor-mean pooling routes the pooled half back
             da = tape.transposes[layer] @ dx[:, width:]
             da[tape.keeps[layer]] += dx[:, :width]
-            dz = da * (tape.pre_activations[layer] > 0.0)
+            dz = da * tape.relu_masks[layer]
         else:
             dz = upstream
         grads[f"enc.w{layer}"] = tape.layer_inputs[layer].T @ dz

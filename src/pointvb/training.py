@@ -27,6 +27,7 @@ from .nncore import (
     encoder_input,
     encoder_params_dict,
     init_encoder,
+    layer_shapes,
     plan_rows,
 )
 from .pcio import PointCloud, SparseLabelSet
@@ -298,13 +299,26 @@ def finetune_grads(
 # UTF-8 JSON metadata (config, step, rng_state, encoder_knn, and `tensors`,
 # each tensor's [name, shape] in data order), every tensor's float64
 # little-endian data in that order, then the CRC32 of all prior bytes. A
-# head is stored when head.w is; the encoder has one layer per enc.w tensor.
+# head is stored when head.w is; every shape is the stored config's.
 # ---------------------------------------------------------------------------
 
 
 def _state_tensors(state: TrainState) -> dict[str, np.ndarray]:
     return {**state.param_dict(), **{f"momentum.{name}": buf for name, buf
                                      in state.momentum_buffers.items()}}
+
+
+def _tensor_shapes(cfg: TrainConfig, stored: dict) -> dict[str, tuple]:
+    """The tensors a checkpoint of cfg holds and their shapes: the encoder's,
+    the head's when stored has head.w, and the momentum buffers stored has."""
+    shapes = {}
+    for i, (fan_in, width) in enumerate(layer_shapes(cfg.feature_dim, cfg.hidden_widths)):
+        shapes[f"enc.w{i}"], shapes[f"enc.b{i}"] = (fan_in, width), (width,)
+    if "head.w" in stored:
+        shapes["head.w"] = (cfg.feature_dim, cfg.num_classes)
+        shapes["head.b"] = (cfg.num_classes,)
+    return {**shapes, **{f"momentum.{name}": shape for name, shape in shapes.items()
+                         if f"momentum.{name}" in stored}}
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str | Path) -> None:
@@ -366,7 +380,15 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
 
         cfg = TrainConfig(**{**meta["config"],
                              "hidden_widths": tuple(meta["config"]["hidden_widths"])})
-        layers = sum(name.startswith("enc.w") for name in tensors)
+        shapes = _tensor_shapes(cfg, tensors)
+        found = {name: tensor.shape for name, tensor in tensors.items()}
+        for name in sorted(shapes.keys() | found.keys()):
+            if found.get(name) != shapes.get(name):
+                raise ValueError(f"tensor {name!r} has shape {found.get(name)}, "
+                                 f"the stored config {shapes.get(name)}")
+        if meta["encoder_knn"] != cfg.knn:
+            raise ValueError(f"encoder_knn {meta['encoder_knn']!r} is not knn {cfg.knn}")
+        layers = len(cfg.hidden_widths) + 1
         encoder = EncoderParams(
             [tensors[f"enc.w{i}"] for i in range(layers)],
             [tensors[f"enc.b{i}"] for i in range(layers)],

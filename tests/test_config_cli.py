@@ -467,7 +467,10 @@ class TestCli:
                                       "empty_metadata",
                                       "out_of_range_config_value",
                                       "version_1", "bytes_past_last_tensor",
-                                      "shape_larger_than_data"])
+                                      "shape_larger_than_data",
+                                      "swapped_weight_dims", "swapped_head_dims",
+                                      "momentum_of_another_shape",
+                                      "encoder_knn_not_knn"])
     def test_malformed_checkpoint_structure_exit_code(
             self, edit, tiny_config_file, tmp_path, capsys):
         path = tmp_path / "edited.ckpt"
@@ -489,6 +492,15 @@ class TestCli:
             data += bytes(8)
         elif edit == "shape_larger_than_data":
             meta["tensors"][-1][1][0] += 1
+        elif edit in ("swapped_weight_dims", "swapped_head_dims"):
+            swapped = "enc.w0" if edit == "swapped_weight_dims" else "head.w"
+            [shape] = [shape for name, shape in meta["tensors"] if name == swapped]
+            shape.reverse()  # the same data size
+        elif edit == "momentum_of_another_shape":
+            meta["tensors"].append(["momentum.enc.b0", [3]])
+            data += bytes(24)
+        elif edit == "encoder_knn_not_knn":
+            meta["encoder_knn"] = 4
         meta_bytes = b"" if edit == "empty_metadata" else \
             json.dumps(meta).encode()
         version = struct.pack("<I", 1) if edit == "version_1" else raw[4:8]
@@ -504,6 +516,50 @@ class TestCli:
             assert "data error" in err and "malformed checkpoint" in err
         if edit == "out_of_range_config_value":
             assert "'momentum'" in err
+
+    def test_eval_of_a_final_checkpoint_with_swapped_dims_exit_code(
+            self, tiny_config_file, tmp_path):
+        """A final.ckpt whose header swaps enc.w0's dims (the same data size,
+        its checksum recomputed) makes `pointvb eval` exit 2 with a data
+        error that names the tensor, and print no traceback."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config_file),
+                     "--out", str(out)]) == 0
+        raw = (out / "final.ckpt").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        meta = json.loads(raw[12:12 + meta_len])
+        [shape] = [shape for name, shape in meta["tensors"] if name == "enc.w0"]
+        shape.reverse()
+        meta_bytes = json.dumps(meta).encode()
+        body = raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + \
+            raw[12 + meta_len:-4]
+        edited = tmp_path / "edited.ckpt"
+        edited.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code, err, _ = run_in_child(tiny_config_file, out,
+                                    ("eval", "--checkpoint", str(edited)))
+        assert code == 2 and "Traceback" not in err, err
+        assert "data error" in err and "'enc.w0'" in err
+
+    def test_finetune_from_a_final_checkpoint_drops_its_momentum(
+            self, tmp_path):
+        """`finetune --checkpoint` of a momentum = 0.5 run's final.ckpt
+        restarts with fresh momentum buffers: it writes what the same
+        checkpoint without its buffers makes."""
+        config = tmp_path / "momentum.cfg"
+        config.write_text(TINY_CONFIG.replace("momentum = 0.0", "momentum = 0.5"))
+        first = tmp_path / "first"
+        assert main(["run", "--config", str(config), "--out", str(first)]) == 0
+        state, cfg = load_checkpoint(first / "final.ckpt")
+        assert set(state.momentum_buffers) == set(state.param_dict())
+        state.momentum_buffers = {}
+        save_checkpoint(state, cfg, tmp_path / "fresh.ckpt")
+        for name, checkpoint in (("kept", first / "final.ckpt"),
+                                 ("fresh", tmp_path / "fresh.ckpt")):
+            assert main(["finetune", "--config", str(config), "--checkpoint",
+                         str(checkpoint), "--out", str(tmp_path / name)]) == 0
+        for name in ("finetune_trace.csv", "final.ckpt"):
+            assert (tmp_path / "kept" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes(), name
 
     def test_default_config_trains(self, tmp_path):
         out = tmp_path / "out"
@@ -621,12 +677,13 @@ class TestCli:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_in_child(config: Path, out: Path, **env) -> tuple[int, str, int]:
-    """`pointvb run` in a child that leads a session (process group) of its
-    own; its exit code, standard error and process group id."""
+def run_in_child(config: Path, out: Path, command: tuple = ("run",),
+                 **env) -> tuple[int, str, int]:
+    """`pointvb run` (or `command`) in a child that leads a session (process
+    group) of its own; its exit code, standard error and process group id."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     with subprocess.Popen(
-            [sys.executable, "-m", "pointvb.cli", "run", "--config", str(config),
+            [sys.executable, "-m", "pointvb.cli", *command, "--config", str(config),
              "--out", str(out)], env={**os.environ, "PYTHONPATH": path, **env},
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             start_new_session=True) as child:

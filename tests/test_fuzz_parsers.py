@@ -107,10 +107,15 @@ def test_load_config(scratch, data):
     parses_or_raises_typed(load_config, scratch, data)
 
 
+HUGE_TENSOR_META = b'{"tensors": [["a", [18446744073709551615]]]}'
+
+
 @FUZZ
 @given(body=st.binary())
-# a tensor of 2**64 - 1 elements
+# a tensor of 2**64 - 1 elements: in the version-1 record layout, and in the
+# version-2 metadata's tensor list
 @example(body=struct.pack("<I2sII1sIQ", 2, b"{}", 1, 1, b"a", 1, 2**64 - 1))
+@example(body=struct.pack("<I", len(HUGE_TENSOR_META)) + HUGE_TENSOR_META)
 def test_load_checkpoint_of_arbitrary_bytes(scratch, body):
     header = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
     parses_or_raises_typed(load_checkpoint, scratch, with_crc(header + body))

@@ -86,6 +86,19 @@ class TestEncoderForward:
         np.testing.assert_array_equal(a, b)
 
 
+    def test_tape_keeps_boolean_relu_masks(self):
+        """The tape holds each hidden layer's z > 0 as bool, not z."""
+        rng = np.random.default_rng(5)
+        cloud = random_cloud(rng, 30)
+        enc = init_encoder(rng, 8, (16, 12), knn=4)
+        _, tape = encoder_forward(enc, cloud)
+        assert [(m.dtype, m.shape) for m in tape.relu_masks] == \
+            [(np.dtype(bool), (30, 16)), (np.dtype(bool), (30, 12))]
+        for layer, mask in enumerate(tape.relu_masks):
+            z = tape.layer_inputs[layer] @ enc.weights[layer] + enc.biases[layer]
+            np.testing.assert_array_equal(mask, z > 0.0)
+
+
 class TestEncoderBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(5)

@@ -1,9 +1,11 @@
 import copy
+import gc
 import multiprocessing
 import os
 import signal
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from multiprocessing.process import BaseProcess
@@ -21,6 +23,7 @@ from pointvb.experiment import (
     _accumulated_step,
     load_split,
     make_synthetic_dataset,
+    run_experiment,
     run_phase,
 )
 from pointvb.geometry import (
@@ -452,17 +455,45 @@ class TestVoxelizedScenes:
             threading.get_ident()) or knn(*a))
         data = VoxelizedScenes(scenes, cfg)
         assert threading.active_count() == threads
-        assert len(builders) == len(data) == 7
+        assert len(builders) == len(data.clouds) == 7
         assert threading.get_ident() not in builders
         for i, (cloud, labels) in enumerate(scenes.scenes):
             voxels, mapping = voxel_downsample(cloud, cfg.voxel_size)
             np.testing.assert_array_equal(data.clouds[i].positions, voxels.positions)
             np.testing.assert_array_equal(data.clouds[i].colors, voxels.colors)
+            assert data.mappings[i].dtype == data.neighbors[i].dtype == np.int32
             np.testing.assert_array_equal(data.mappings[i], mapping)
             np.testing.assert_array_equal(data.labels[i].labels,
                                           vote_labels(labels, mapping).labels)
             np.testing.assert_array_equal(data.neighbors[i],
                                           knn_indices(voxels.positions, cfg.knn))
+
+    def test_run_experiment_frees_the_raw_training_clouds(self, tmp_path,
+                                                          monkeypatch):
+        """Once pretraining starts, no raw training cloud is alive: the
+        prepared scenes hold all that the phases read."""
+        values = {**default_config(), "num_scenes": 3, "val_scenes": 1,
+                  "points_per_scene": 256, "feature_dim": 8, "hidden_widths": (16,),
+                  "knn": 8, "fps_count": 32, "pretrain_steps": 2,
+                  "finetune_steps": 2, "labels_per_scene": 20}
+        clouds, alive = [], []
+        load, pretrain = experiment.load_split, experiment.pretrain
+
+        def loading(values, split):
+            scenes = load(values, split)
+            if split == "train":
+                clouds.extend(weakref.ref(cloud) for cloud, _ in scenes.scenes)
+            return scenes
+
+        def pretraining(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in clouds))
+            return pretrain(*args)
+
+        monkeypatch.setattr(experiment, "load_split", loading)
+        monkeypatch.setattr(experiment, "pretrain", pretraining)
+        run_experiment(values, tmp_path)
+        assert len(clouds) == 3 and alive == [0]
 
 
 class TestPairThreads:
@@ -526,7 +557,7 @@ class TestPlannedSteps:
 
         def replan_every_step(state, data, cfg):
             def compute():
-                i = int(state.rng.integers(len(data)))
+                i = int(state.rng.integers(len(data.clouds)))
                 return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
                                       data.neighbors[i])
             return experiment._train(state, cfg, compute)
@@ -572,7 +603,7 @@ def inline_pretrain(state, data, cfg):
     """The pretrain phase as a loop of steps whose every FPS runs in this
     process: the reference the prefetched phase must equal."""
     def compute():
-        i = int(state.rng.integers(len(data)))
+        i = int(state.rng.integers(len(data.clouds)))
         return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i])
     trace = []
     while state.step < cfg.iterations:
