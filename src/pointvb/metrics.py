@@ -69,20 +69,22 @@ class RunReport:
     mean_iou: float
 
 
-def _prepare(cloud, voxel_size: float, knn: int) -> tuple:
-    """A scene's voxels, point-to-voxel mapping and the voxels' kNN graph."""
+def prepare_scene(cloud, voxel_size: float, knn: int) -> tuple:
+    """A raw cloud as the encoder reads it, in training and evaluation: its
+    voxels, int32 point-to-voxel mapping and the voxels' int32 kNN graph."""
     voxels, mapping = voxel_downsample(cloud, voxel_size)
-    return voxels, mapping, nncore.knn_indices(voxels.positions, knn)
+    graph = nncore.knn_indices(voxels.positions, knn)
+    return voxels, mapping.astype(np.int32), graph.astype(np.int32)
 
 
 def predict_scene(state: TrainState, cloud, cfg: TrainConfig,
                   prepared: Future | None = None) -> np.ndarray:
     """Per-original-point class predictions via the voxel pipeline; prepared
-    may hold a future of the cloud's _prepare, waited for here."""
+    may hold a future of the cloud's prepare_scene, waited for here."""
     if state.head is None:
         raise DataError("evaluation requires a classification head")
     voxels, mapping, neighbors = (prepared.result() if prepared is not None else
-                                  _prepare(cloud, cfg.voxel_size, state.encoder.knn))
+                                  prepare_scene(cloud, cfg.voxel_size, state.encoder.knn))
     features, _ = encoder_forward(state.encoder, voxels, neighbors)
     logits = features @ state.head.weight + state.head.bias
     return np.argmax(logits, axis=1)[mapping]
@@ -109,7 +111,7 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     cm = ConfusionMatrix.zeros(cfg.num_classes)
     with ThreadPoolExecutor(1) as pool:
         def prepare(i: int) -> Future | None:
-            return pool.submit(_prepare, scored[i][0], cfg.voxel_size,
+            return pool.submit(prepare_scene, scored[i][0], cfg.voxel_size,
                                state.encoder.knn) if i < len(scored) else None
         ahead = prepare(0)
         for i, (cloud, labels) in enumerate(scored):

@@ -401,8 +401,8 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         state = TrainState(encoder, head, buffers, meta["step"], rng)
-    except (KeyError, TypeError, ValueError, OverflowError, struct.error,
-            ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            struct.error, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from None
     if expect is not None:
         keys = ("feature_dim", "hidden_widths", "knn", "voxel_size") + \

@@ -470,7 +470,7 @@ class TestCli:
                                       "shape_larger_than_data",
                                       "swapped_weight_dims", "swapped_head_dims",
                                       "momentum_of_another_shape",
-                                      "encoder_knn_not_knn"])
+                                      "encoder_knn_not_knn", "nested_metadata"])
     def test_malformed_checkpoint_structure_exit_code(
             self, edit, tiny_config_file, tmp_path, capsys):
         path = tmp_path / "edited.ckpt"
@@ -503,6 +503,8 @@ class TestCli:
             meta["encoder_knn"] = 4
         meta_bytes = b"" if edit == "empty_metadata" else \
             json.dumps(meta).encode()
+        if edit == "nested_metadata":  # deeper than the JSON decoder recurses
+            meta_bytes = b"[" * 100_000 + b"]" * 100_000
         version = struct.pack("<I", 1) if edit == "version_1" else raw[4:8]
         body = (raw[:4] + version + struct.pack("<I", len(meta_bytes))
                 + meta_bytes + data)
@@ -717,7 +719,7 @@ class TestChildProcess:
             code, err, _ = run_in_child(config, outs[-1],
                                         OPENBLAS_NUM_THREADS=threads)
             assert code == 0, err
-        for name in ("trace.csv", "final.ckpt"):
+        for name in ("trace.csv", "final.ckpt", "report.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
                 name
 

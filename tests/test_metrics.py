@@ -201,7 +201,7 @@ class TestEvaluate:
             scene_ids=["v0", "v1"],
         )
         calls = []
-        monkeypatch.setattr(metrics, "_prepare", lambda *a: calls.append(a))
+        monkeypatch.setattr(metrics, "prepare_scene", lambda *a: calls.append(a))
         monkeypatch.setattr(metrics, "predict_scene", lambda *a: calls.append(a))
         with pytest.raises(DataError, match="scene has 3 classes"):
             evaluate(init_state(cfg, with_head=True), scenes, cfg)
@@ -210,7 +210,8 @@ class TestEvaluate:
 
 class TestLookAhead:
     """evaluate builds the next scored scene's voxels and kNN graph on a
-    helper thread while it scores the current one."""
+    helper thread while it scores the current one, each scored scene once
+    through metrics.prepare_scene, the preparation training uses."""
 
     @staticmethod
     def check_equals_scenes_alone(scenes, cfg, monkeypatch):
@@ -220,23 +221,26 @@ class TestLookAhead:
         for (_, labels), predicted in zip(scenes.scenes, alone):
             mask = labels.present_mask
             cm.add(labels.labels[mask], predicted[mask])
-        prepared, predictions = [], []
-        prepare, predict = metrics._prepare, metrics.predict_scene
+        prepared, predictions, dtypes = [], [], set()
+        prepare, predict = metrics.prepare_scene, metrics.predict_scene
 
         def recorded_prepare(cloud, *args):
             prepared.append(id(cloud))
-            return prepare(cloud, *args)
+            _, mapping, neighbors = result = prepare(cloud, *args)
+            dtypes.update((mapping.dtype, neighbors.dtype))
+            return result
 
         def recorded_predict(state, cloud, *args):
             predictions.append((id(cloud), predict(state, cloud, *args)))
             return predictions[-1][1]
 
-        monkeypatch.setattr(metrics, "_prepare", recorded_prepare)
+        monkeypatch.setattr(metrics, "prepare_scene", recorded_prepare)
         monkeypatch.setattr(metrics, "predict_scene", recorded_predict)
         assert evaluate(state, scenes, cfg) == RunReport(*miou(cm))
         scored = [(id(cloud), predicted) for (cloud, labels), predicted
                   in zip(scenes.scenes, alone) if labels.present_mask.any()]
         assert [i for i, _ in predictions] == prepared == [i for i, _ in scored]
+        assert dtypes == {np.dtype(np.int32)}
         for (_, got), (_, expected) in zip(predictions, scored):
             np.testing.assert_array_equal(got, expected)
 

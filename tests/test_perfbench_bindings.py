@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pointvb
-from pointvb import metrics
+from pointvb import experiment, metrics
 from pointvb.experiment import (
     VoxelizedScenes,
     finetune,
@@ -86,6 +86,19 @@ def test_evaluation_records_each_scored_scene(tracer):
     assert calls["metrics.evaluate"] == 1
     for name in ("geometry.knn", "geometry.voxelize", "metrics.predict_scene"):
         assert calls.get(name, 0) == 2, name
+
+
+def test_training_preparation_records_each_scene(tracer):
+    """Under the full tracer, VoxelizedScenes records one kNN build and one
+    voxelize span per scene, as evaluate does per scored scene."""
+    scenes = make_synthetic_dataset(0, 3, 256, 4)
+    cfg = TrainConfig(feature_dim=8, hidden_widths=(8,), knn=4)
+    with tracer.Tracer(full=True) as spans:
+        experiment.VoxelizedScenes(scenes, cfg)  # the binding the tracer patches
+    calls = {name: stats.calls for name, stats in tracer.op_stats(spans.spans).items()}
+    assert calls["experiment.dataset_prep"] == 1
+    for name in ("geometry.knn", "geometry.voxelize"):
+        assert calls.get(name, 0) == 3, name
 
 
 def test_every_imported_name_is_read(tracer):

@@ -16,7 +16,7 @@ import pytest
 
 from pointvb import training
 from pointvb.errors import CheckpointError, ConfigError, DataError, NumericError
-from pointvb import experiment
+from pointvb import experiment, metrics, nncore
 from pointvb.config import default_config, train_config
 from pointvb.experiment import (
     VoxelizedScenes,
@@ -445,13 +445,13 @@ class TestFullGraphReference:
 class TestVoxelizedScenes:
     def test_equals_a_serial_build(self, monkeypatch):
         """The pool builds each scene as a serial loop does, in scene order,
-        through experiment's knn_indices, and leaves no thread behind."""
+        through nncore's knn_indices, and leaves no thread behind."""
         scenes = make_synthetic_dataset(5, 7, 512, 4)
         cfg = tiny_config()
         threads = threading.active_count()
         builders = []
-        knn = experiment.knn_indices
-        monkeypatch.setattr(experiment, "knn_indices", lambda *a: builders.append(
+        knn = nncore.knn_indices
+        monkeypatch.setattr(nncore, "knn_indices", lambda *a: builders.append(
             threading.get_ident()) or knn(*a))
         data = VoxelizedScenes(scenes, cfg)
         assert threading.active_count() == threads
@@ -467,6 +467,44 @@ class TestVoxelizedScenes:
                                           vote_labels(labels, mapping).labels)
             np.testing.assert_array_equal(data.neighbors[i],
                                           knn_indices(voxels.positions, cfg.knn))
+
+    def test_prepares_each_scene_once_through_prepare_scene(self, monkeypatch):
+        """Training's scenes are prepared by the function evaluation uses:
+        one metrics.prepare_scene call a scene."""
+        scenes = make_synthetic_dataset(6, 5, 256, 4)
+        cfg = tiny_config()
+        prepared, prepare = [], metrics.prepare_scene
+        monkeypatch.setattr(metrics, "prepare_scene", lambda cloud, *a: prepared.append(
+            id(cloud)) or prepare(cloud, *a))
+        VoxelizedScenes(scenes, cfg)
+        assert sorted(prepared) == sorted(id(cloud) for cloud, _ in scenes.scenes)
+
+    def test_run_experiment_bytes_do_not_depend_on_preparation_timing(
+            self, tmp_path, monkeypatch):
+        """Seeded random 0-5 ms sleeps in every metrics.prepare_scene call
+        reorder the set-up pool's completions and move evaluation's helper
+        thread against its scoring loop; every output byte stays the same."""
+        values = {**default_config(), "num_scenes": 4, "val_scenes": 3,
+                  "points_per_scene": 256, "feature_dim": 8, "hidden_widths": (16,),
+                  "knn": 8, "fps_count": 32, "pretrain_steps": 3,
+                  "finetune_steps": 3, "labels_per_scene": 20}
+        run_experiment(values, tmp_path / "steady")
+        prepare, lock, delays = metrics.prepare_scene, threading.Lock(), []
+        rng = np.random.default_rng(3)
+
+        def perturbed(*args):
+            with lock:  # one generator, drawn from the pool's threads
+                delays.append(rng.uniform(0.0, 0.005))
+                delay = delays[-1]
+            time.sleep(delay)
+            return prepare(*args)
+
+        monkeypatch.setattr(metrics, "prepare_scene", perturbed)
+        run_experiment(values, tmp_path / "perturbed")
+        assert len(delays) == 4 + 3  # every training and validation scene
+        for name in ("trace.csv", "report.csv", "final.ckpt"):
+            assert (tmp_path / "steady" / name).read_bytes() == \
+                (tmp_path / "perturbed" / name).read_bytes(), name
 
     def test_run_experiment_frees_the_raw_training_clouds(self, tmp_path,
                                                           monkeypatch):
