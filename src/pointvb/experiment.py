@@ -47,6 +47,7 @@ from .training import (
     save_checkpoint,
     set_up_process,
     sgd_momentum_step,
+    to_float32,
 )
 
 
@@ -111,9 +112,10 @@ def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float:
 
 def _train(state: TrainState, cfg: TrainConfig, compute
            ) -> list[tuple[int, float, float]]:
-    """The loop of both phases: steps until cfg.iterations, each averaging
-    cfg.batch_size compute() calls. Returns (step, lr, loss) for every step."""
+    """The loop of both phases, in float32: steps until cfg.iterations, each
+    averaging cfg.batch_size compute() calls. Returns (step, lr, loss)."""
     set_up_process()
+    to_float32(state)
     trace = []
     while state.step < cfg.iterations:
         step, lr = state.step, poly_lr(state.step, cfg)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .errors import DataError
 from .geometry import voxel_downsample
 from .nncore import encoder_forward
 from .pcio import SceneSet
-from .training import TrainConfig, TrainState, set_up_process
+from .training import TrainConfig, TrainState, set_up_process, to_float32
 
 
 @dataclass
@@ -99,6 +99,8 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     the next one's voxels and kNN graph, never more than one scene ahead.
     """
     set_up_process()
+    state = replace(state)  # scored as a float32 copy; the caller's arrays stay
+    to_float32(state)
     for _, labels in scenes.scenes:
         if labels.num_classes != cfg.num_classes:
             raise DataError(

@@ -4,8 +4,9 @@ normalization.
 
 The encoder is a shared per-point MLP. After each hidden layer the ReLU
 activations are concatenated with their mean over each point's k nearest
-geometric neighbors, so receptive fields grow with depth. Everything runs
-in float64 so 1e-5 gradient tolerances are meaningful.
+geometric neighbors, so receptive fields grow with depth. It computes in
+its parameters' dtype: float64 as drawn, so 1e-5 gradient tolerances are
+meaningful, or float32, as every training phase and evaluation holds it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class EncoderParams:
     @property
     def feature_dim(self) -> int:
         return self.weights[-1].shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
 
 @dataclass
@@ -92,9 +97,10 @@ def encoder_params_dict(params: EncoderParams) -> dict[str, np.ndarray]:
 
 
 def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
-                     cols: np.ndarray | None = None) -> sparse.csr_matrix:
-    """Sparse row-stochastic operator averaging each point's neighbors, (M, M)
-    or its block at sorted point indices rows x cols (cols holding every
+                     cols: np.ndarray | None = None, dtype=np.float64
+                     ) -> sparse.csr_matrix:
+    """Sparse row-stochastic dtype operator averaging each point's neighbors,
+    (M, M) or its block at sorted point indices rows x cols (cols holding every
     neighbor of rows), each row's columns ascending. k = 0 gives zero."""
     if rows is not None:  # cloud index -> position in cols
         at = np.zeros(len(neighbors), dtype=np.intp)
@@ -102,14 +108,14 @@ def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
         neighbors = at[neighbors[rows]]
     n, k = neighbors.shape
     return sparse.csr_matrix(
-        (np.full(n * k, 1.0 / max(k, 1)), np.sort(neighbors, axis=1).ravel(),
+        (np.full(n * k, 1.0 / max(k, 1), dtype), np.sort(neighbors, axis=1).ravel(),
          np.arange(n + 1) * k), shape=(n, n if cols is None else len(cols)))
 
 
 def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
-              layers: int) -> RowPlan:
-    """Plan `layers` encoder layers over the kNN graph neighbors (M, k) to
-    compute all M rows (rows None: one pooling operator serves every hidden
+              layers: int, dtype=np.float64) -> RowPlan:
+    """Plan `layers` dtype encoder layers over the kNN graph neighbors (M, k)
+    to compute all M rows (rows None: one pooling operator serves every hidden
     layer) or the distinct point indices rows: each layer what the next
     reads, sorted(rows), then those rows and their neighbors, layer by layer
     inward."""
@@ -125,18 +131,20 @@ def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
             field[sets[layer + 1]] = field[neighbors[sets[layer + 1]]] = True
             sets[layer] = np.flatnonzero(field)
     hidden = range(layers - 1)
-    poolings = ([pooling_operator(neighbors)] * len(hidden) if rows is None else
-                [pooling_operator(neighbors, sets[i + 1], sets[i]) for i in hidden])
+    poolings = [pooling_operator(neighbors, dtype=dtype)] * len(hidden) if rows is None \
+        else [pooling_operator(neighbors, sets[i + 1], sets[i], dtype) for i in hidden]
     keeps = [slice(None) if rows is None else np.searchsorted(sets[i], sets[i + 1])
              for i in hidden]
     return RowPlan(neighbors.shape, sets, poolings, [p.T for p in poolings],
                    keeps, order)
 
 
-def encoder_input(cloud: PointCloud, plan: RowPlan) -> np.ndarray:
-    """The plan's layer-0 rows of the encoder input: positions and colors
-    scaled to [0, 1]. Every row of the cloud must be finite."""
+def encoder_input(cloud: PointCloud, plan: RowPlan, dtype=np.float64) -> np.ndarray:
+    """The plan's layer-0 rows of the encoder input in dtype: positions and
+    colors scaled to [0, 1]. Every row of the cloud must be finite in dtype."""
     x = np.concatenate([cloud.positions, cloud.colors / COLOR_SCALE], axis=1)
+    with np.errstate(over="ignore"):  # what overflows dtype fails the check
+        x = x.astype(dtype, copy=False)
     if not np.isfinite(x).all():
         raise NumericError("non-finite encoder input")
     return x if plan.sets[0] is None else x[plan.sets[0]]
@@ -159,10 +167,10 @@ def encoder_forward(
     if plan is None:
         if neighbors is None:
             neighbors = knn_indices(cloud.positions, params.knn)
-        plan = plan_rows(neighbors, rows, len(params.weights))
+        plan = plan_rows(neighbors, rows, len(params.weights), params.dtype)
     if plan.graph != (m, params.knn):
         raise DataError(f"graph shape {plan.graph} does not match ({m}, {params.knn})")
-    x = encoder_input(cloud, plan) if inputs is None else inputs
+    x = encoder_input(cloud, plan, params.dtype) if inputs is None else inputs
     layer_inputs, relu_masks = [], []
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         layer_inputs.append(x)

@@ -85,6 +85,16 @@ def attach_head(state: TrainState, cfg: TrainConfig) -> None:
     state.step = 0
 
 
+def to_float32(state: TrainState) -> None:
+    """Hold state's parameters and momentum buffers in float32, as every phase
+    and evaluation does, in new objects: a shallow copy's original keeps its own."""
+    f32, enc, head = (lambda a: a.astype(np.float32)), state.encoder, state.head
+    state.encoder = EncoderParams([*map(f32, enc.weights)], [*map(f32, enc.biases)],
+                                  enc.knn)
+    state.head = head and HeadParams(f32(head.weight), f32(head.bias))
+    state.momentum_buffers = {name: f32(b) for name, b in state.momentum_buffers.items()}
+
+
 def set_up_process() -> None:
     """Process-wide set-up every phase shares: keep the tens of MB a step or
     scored scene frees on glibc's heap for the next, not handed back to the
@@ -120,18 +130,22 @@ def sgd_momentum_step(
     lr: float,
     momentum: float,
 ) -> None:
-    """Heavy-ball update in place: buf = m*buf + g; p -= lr*buf."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise DataError(f"gradient shape mismatch for {name}")
-        buf = buffers.get(name)
-        if buf is None:
-            buf = np.zeros_like(p)
-            buffers[name] = buf
-        buf *= momentum
-        buf += g
-        p -= lr * buf
+    """Heavy-ball update in place: buf = m*buf + g; p -= lr*buf; NumericError
+    if p leaves its dtype's finite range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # p is checked instead
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise DataError(f"gradient shape mismatch for {name}")
+            buf = buffers.get(name)
+            if buf is None:
+                buf = np.zeros_like(p)
+                buffers[name] = buf
+            buf *= momentum
+            buf += g
+            p -= lr * buf
+            if not np.isfinite(p).all():
+                raise NumericError(f"non-finite {name} after an SGD step at lr {lr}")
 
 
 def _both(pool: Executor | None, fn, p, q) -> tuple:
@@ -165,7 +179,7 @@ def pair_loss_and_grads(
     gradients, p's then q's, stay here, so the bytes do not change.
     """
     plan = None if neighbors is None else \
-        plan_rows(neighbors, sample, len(encoder.weights))
+        plan_rows(neighbors, sample, len(encoder.weights), encoder.dtype)
     (feats_p, tape_p), (feats_q, tape_q) = _both(
         pool, lambda view: encoder_forward(encoder, view, rows=sample, plan=plan),
         view_p, view_q)
@@ -264,9 +278,9 @@ def finetune_plan(encoder: EncoderParams, cloud: PointCloud, labels: SparseLabel
         raise DataError("fine-tune scene has no labeled voxel")
     if neighbors is None:
         neighbors = knn_indices(cloud.positions, encoder.knn)
-    plan = plan_rows(neighbors, rows, len(encoder.weights))
-    return plan, encoder_input(cloud, plan), SparseLabelSet(labels.labels[rows],
-                                                            labels.num_classes)
+    plan = plan_rows(neighbors, rows, len(encoder.weights), encoder.dtype)
+    return plan, encoder_input(cloud, plan, encoder.dtype), \
+        SparseLabelSet(labels.labels[rows], labels.num_classes)
 
 
 def finetune_grads(
@@ -299,7 +313,8 @@ def finetune_grads(
 # UTF-8 JSON metadata (config, step, rng_state, encoder_knn, and `tensors`,
 # each tensor's [name, shape] in data order), every tensor's float64
 # little-endian data in that order, then the CRC32 of all prior bytes. A
-# head is stored when head.w is; every shape is the stored config's.
+# head is stored when head.w is (float32 values exactly); every shape is
+# the stored config's.
 # ---------------------------------------------------------------------------
 
 

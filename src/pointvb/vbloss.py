@@ -51,9 +51,11 @@ def vb_loss_backward(
     Chains through centering, the norm division, and the off-diagonal
     scaling. At an exact zero of the loss zero gradients are returned (the
     unsquared norm has none there). A non-finite loss raises NumericError.
+    It computes in float64 and returns the gradients in the views' dtype.
     """
     if zp.shape != zq.shape:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
+    dtype, zp, zq = zp.dtype, zp.astype(np.float64), zq.astype(np.float64)
     a = normalize_columns(zp, EPSILON)
     b = normalize_columns(zq, EPSILON)
     z = a.T @ b
@@ -62,14 +64,14 @@ def vb_loss_backward(
         raise NumericError(f"non-finite pretrain loss; cross-correlation "
                            f"extrema [{np.nanmin(z)}, {np.nanmax(z)}]")
     if loss == 0.0:
-        return 0.0, np.zeros_like(zp), np.zeros_like(zq)
+        return 0.0, np.zeros(zp.shape, dtype), np.zeros(zq.shape, dtype)
     residual = _scale_off_diagonal(z, cfg.off_diagonal_weight) - np.eye(len(z))
     dz = _scale_off_diagonal(residual, cfg.off_diagonal_weight)
     dz = 2.0 * dz if cfg.squared_norm else dz / loss
     da = b @ dz.T
     db = a @ dz
-    return loss, _normalize_columns_backward(zp, da), \
-        _normalize_columns_backward(zq, db)
+    return loss, _normalize_columns_backward(zp, da).astype(dtype), \
+        _normalize_columns_backward(zq, db).astype(dtype)
 
 
 def _normalize_columns_backward(raw: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -455,6 +456,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and "int64 voxel key" in err
 
+    def test_coordinate_past_float32_exit_code(self, tiny_config_file, tmp_path,
+                                               capsys):
+        """Scenes scaled past float32's range, at a voxel size scaled alike,
+        voxelize as before but reach the float32 encoder as the typed numeric
+        failure, exit 3, with no warning."""
+        data = tmp_path / "out" / "data"
+        assert main(["synth", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        scale = 1e38
+        for path in data.glob("*/scene_*.ply"):
+            cloud = pcio.load_ply(path)
+            pcio.save_ply(pcio.PointCloud(cloud.positions * scale, cloud.colors), path)
+        on_disk = tmp_path / "on_disk.cfg"
+        on_disk.write_text(TINY_CONFIG + f"data_dir = {data}\n"
+                           f"voxel_size = {0.05 * scale!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(on_disk),
+                         "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "non-finite encoder input" in err, err
+
     def test_corrupt_checkpoint_exit_code(self, tiny_config_file, tmp_path,
                                           capsys):
         fake = tmp_path / "fake.ckpt"
@@ -562,6 +585,50 @@ class TestCli:
         for name in ("finetune_trace.csv", "final.ckpt"):
             assert (tmp_path / "kept" / name).read_bytes() == \
                 (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_run_trains_in_float32_and_stores_it_exactly(self, tmp_path,
+                                                          monkeypatch):
+        """`run` saves float32 parameters and momentum buffers into version-2
+        checkpoints whose <f8 data equal them, and `pointvb eval` of its
+        final.ckpt writes its report.csv byte for byte."""
+        config = tmp_path / "momentum.cfg"
+        config.write_text(TINY_CONFIG.replace("momentum = 0.0", "momentum = 0.5"))
+        saved, save = {}, experiment.save_checkpoint
+        monkeypatch.setattr(experiment, "save_checkpoint", lambda state, cfg, path:
+                            saved.update({Path(path).name: {
+                                name: tensor.copy() for name, tensor
+                                in training._state_tensors(state).items()}})
+                            or save(state, cfg, path))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(saved) == ["final.ckpt", "pretrain.ckpt"]
+        for checkpoint, tensors in saved.items():
+            raw = (out / checkpoint).read_bytes()
+            assert struct.unpack_from("<I", raw, 4) == (2,)
+            stored = training._state_tensors(load_checkpoint(out / checkpoint)[0])
+            assert sorted(stored) == sorted(tensors)
+            assert any(name.startswith("momentum.") for name in stored)
+            for name, tensor in tensors.items():
+                assert tensor.dtype == np.float32, name
+                assert stored[name].dtype == np.float64, name
+                np.testing.assert_array_equal(stored[name], tensor, err_msg=name)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(out / "final.ckpt")]) == 0
+        assert (tmp_path / "eval" / "report.csv").read_bytes() == \
+            (out / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("key", ["pretrain_lr", "finetune_lr"])
+    def test_learning_rate_past_float32_exit_code(self, key, tmp_path, capsys):
+        """A finite learning rate that float32 overflows on ends in the typed
+        numeric failure, exit 3, and raises no warning on the way."""
+        config = tmp_path / "lr.cfg"
+        config.write_text(TINY_CONFIG + f"{key} = 1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "SGD step" in err, err
 
     def test_default_config_trains(self, tmp_path):
         out = tmp_path / "out"
@@ -729,5 +796,6 @@ class TestChildProcess:
         config = self.config(tmp_path, pretrain_steps=40, pretrain_lr=lr)
         exit_code, err, group = run_in_child(config, tmp_path / "out")
         assert exit_code == code, err
+        assert "Warning" not in err, err
         with pytest.raises(ProcessLookupError):  # nothing of its group runs
             os.killpg(group, 0)

@@ -1,3 +1,4 @@
+import copy
 import threading
 
 import numpy as np
@@ -13,7 +14,7 @@ from pointvb.metrics import ConfusionMatrix, RunReport, evaluate, miou, \
     predict_scene
 from pointvb.pcio import ABSENT, SceneSet, SparseLabelSet, \
     generate_synthetic_scene, write_scene_set
-from pointvb.training import TrainConfig, init_state, save_checkpoint
+from pointvb.training import TrainConfig, init_state, save_checkpoint, to_float32
 
 
 def miou_reference(truth, predicted, num_classes):
@@ -175,10 +176,14 @@ class TestEvaluate:
             split="val", scene_ids=[f"v{i}" for i in range(3)],
         )
         state = init_state(cfg, with_head=True)
+        before = copy.deepcopy(state.param_dict())
         first = evaluate(state, scenes, cfg)
         second = evaluate(state, scenes, cfg)
         assert first.mean_iou == second.mean_iou
         assert first.per_class_iou == second.per_class_iou
+        for name, value in state.param_dict().items():  # scored as a float32 copy
+            assert value.dtype == np.float64, name
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
 
     def test_evaluate_returns_run_report(self):
         cfg = small_cfg()
@@ -216,6 +221,7 @@ class TestLookAhead:
     @staticmethod
     def check_equals_scenes_alone(scenes, cfg, monkeypatch):
         state = init_state(cfg, with_head=True)
+        to_float32(state)  # the precision evaluate scores in
         alone = [predict_scene(state, cloud, cfg) for cloud, _ in scenes.scenes]
         cm = ConfusionMatrix.zeros(cfg.num_classes)
         for (_, labels), predicted in zip(scenes.scenes, alone):

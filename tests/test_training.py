@@ -57,6 +57,7 @@ from pointvb.training import (
     pretrain_grads,
     save_checkpoint,
     sgd_momentum_step,
+    to_float32,
 )
 
 
@@ -442,6 +443,77 @@ class TestFullGraphReference:
                          full_graph_finetune_grads(state, cloud, labels, nbrs))
 
 
+class TestFloat32AgainstFloat64:
+    """float64, in which init_state draws, is the reference the float32 every
+    phase trains in is checked against: on the same inputs a pretrain pair
+    and a fine-tune compute agree in loss, features and every gradient
+    within a relative tolerance fixed from float32's epsilon."""
+
+    TOLERANCE = 1000 * np.finfo(np.float32).eps  # about 1.2e-4
+
+    def assert_close(self, got, reference, name, scale=None):
+        """|got - reference| relative to |reference|, or to scale."""
+        got, reference = np.asarray(got), np.asarray(reference)
+        assert reference.dtype == np.float64, name
+        error = np.linalg.norm(got - reference) / (scale or np.linalg.norm(reference))
+        assert error < self.TOLERANCE, (name, error)
+
+    def test_pair_and_finetune_compute(self):
+        cfg = tiny_config()
+        data = VoxelizedScenes(make_synthetic_dataset(5, 1, 1024, 4), cfg)
+        cloud, labels, neighbors = data.clouds[0], data.labels[0], data.neighbors[0]
+        rng = np.random.default_rng(0)
+        view_p, view_q = (apply_transform(cloud, sample_transform(rng, len(cloud)))
+                          for _ in range(2))
+        sample = training.pretrain_sample(cloud, cfg, 0)
+        wide = init_state(cfg, with_head=True)
+        narrow = copy.deepcopy(wide)
+        to_float32(narrow)
+        results = []
+        for state in (narrow, wide):
+            features, _ = encoder_forward(state.encoder, view_p, neighbors)
+            results.append((features, pair_loss_and_grads(
+                state.encoder, view_p, view_q, sample, cfg, neighbors),
+                finetune_grads(state, cloud, labels, cfg, neighbors)))
+        (features, *computes), (reference, *references) = results
+        assert features.dtype == np.float32
+        self.assert_close(features, reference, "features")
+        for kind, (loss, grads), (ref_loss, ref_grads) in zip(
+                ("pretrain", "finetune"), computes, references):
+            self.assert_close(loss, ref_loss, f"{kind} loss")
+            assert sorted(grads) == sorted(ref_grads)
+            whole = np.sqrt(sum(np.sum(g ** 2) for g in ref_grads.values()))
+            for name, g in grads.items():
+                assert g.dtype == np.float32, (kind, name)
+                # a reference at float64 rounding is an exact zero (the last
+                # bias under the shift-invariant VB loss): scale it by the whole
+                at_rounding = np.linalg.norm(ref_grads[name]) < \
+                    1000 * np.finfo(np.float64).eps * whole
+                self.assert_close(g, ref_grads[name], f"{kind} {name}",
+                                  whole if at_rounding else None)
+
+
+class TestPrecisionBoundary:
+    """A checkpoint's <f8 data hold a trained state's float32 values exactly,
+    and a phase casts a loaded state back to those bits."""
+
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_phase_resumed_from_a_checkpoint(self, phase, tmp_path):
+        cfg = tiny_config(iterations=8)
+        data = VoxelizedScenes(make_synthetic_dataset(3, 3, 256, 4), cfg)
+        run = getattr(experiment, phase)
+        state = init_state(cfg, with_head=phase == "finetune")
+        run(state, data, replace(cfg, iterations=3))
+        assert state.momentum_buffers
+        for tensor in training._state_tensors(state).values():
+            assert tensor.dtype == np.float32
+        save_checkpoint(state, cfg, tmp_path / "mid.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "mid.ckpt")
+        assert loaded.encoder.dtype == np.float64
+        traces = run(state, data, cfg), run(loaded, data, cfg)
+        TestFpsWorker.assert_same(tmp_path, cfg, loaded, state, traces)
+
+
 class TestVoxelizedScenes:
     def test_equals_a_serial_build(self, monkeypatch):
         """The pool builds each scene as a serial loop does, in scene order,
@@ -639,7 +711,10 @@ class TestPlannedSteps:
 
 def inline_pretrain(state, data, cfg):
     """The pretrain phase as a loop of steps whose every FPS runs in this
-    process: the reference the prefetched phase must equal."""
+    process, at the phase's float32: the reference the prefetched phase must
+    equal."""
+    to_float32(state)
+
     def compute():
         i = int(state.rng.integers(len(data.clouds)))
         return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i])
