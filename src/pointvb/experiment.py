@@ -67,7 +67,7 @@ def make_synthetic_dataset(
 
 class VoxelizedScenes:
     """What training reads of each scene, not its raw cloud: its
-    metrics.prepare_scene, the points' labels and the voxels' vote of them;
+    metrics.prepare_scene and its points' labels, which fine-tuning votes;
     built on a pool of one thread per usable core that ends with the constructor."""
 
     def __init__(self, scenes: SceneSet, cfg: TrainConfig):
@@ -76,16 +76,12 @@ class VoxelizedScenes:
             built = list(pool.map(lambda cloud: metrics.prepare_scene(
                 cloud, cfg.voxel_size, cfg.knn), [cloud for cloud, _ in scenes.scenes]))
         self.clouds, self.mappings, self.neighbors = map(list, zip(*built))
-        self._label([labels for _, labels in scenes.scenes])
-
-    def _label(self, point_labels: list[SparseLabelSet]) -> None:
-        self.point_labels = point_labels
-        self.labels = [vote_labels(lbl, m) for lbl, m in zip(point_labels, self.mappings)]
+        self.point_labels = [labels for _, labels in scenes.scenes]
 
     def relabeled(self, point_labels: list[SparseLabelSet]) -> "VoxelizedScenes":
-        """These voxels and kNN graphs, labeled by one label set a scene."""
+        """These voxels and kNN graphs with other point labels, one set a scene."""
         data = copy.copy(self)
-        data._label(point_labels)
+        data.point_labels = point_labels
         return data
 
 
@@ -184,19 +180,17 @@ def finetune(
     cfg: TrainConfig,
 ) -> list[tuple[int, float, float]]:
     """Run cfg.iterations supervised steps, each on scenes drawn among those
-    that carry a labeled voxel. A scene's finetune_plan is made in its first
-    step and kept for the phase."""
-    labeled = [i for i, lbl in enumerate(data.labels) if lbl.present_mask.any()]
+    that carry a labeled voxel. Every scene's voxels vote its point labels
+    once, before the first step; a scene's finetune_plan is made in its
+    first step and kept for the phase."""
+    labels = [vote_labels(lbl, m) for lbl, m in zip(data.point_labels, data.mappings)]
+    labeled = [i for i, lbl in enumerate(labels) if lbl.present_mask.any()]
     if not labeled:
         raise DataError("no scene carries any labeled voxel")
     planned = functools.cache(lambda i: finetune_plan(
-        state.encoder, data.clouds[i], data.labels[i], data.neighbors[i]))
-
-    def compute():
-        i = labeled[int(state.rng.integers(len(labeled)))]
-        return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
-                              planned=planned(i))
-    return _train(state, cfg, compute)
+        state.encoder, data.clouds[i], labels[i], data.neighbors[i]))
+    return _train(state, cfg, lambda: finetune_grads(
+        state, planned(labeled[int(state.rng.integers(len(labeled)))])))
 
 
 def sparse_labels(label_sets, k: int, seed: int) -> list[SparseLabelSet]:
@@ -290,11 +284,10 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
             raise DataError("config enables neither pretraining nor "
                             "fine-tuning and provides no init_checkpoint")
         raise DataError("no classification head trained; cannot evaluate")
-    train_scenes, val_scenes = [load_split(values, s) for s in ("train", "val")]
+    val_scenes = load_split(values, "val")
     # both phases read these (one voxel_size and knn), and one runs only if
     # fine-tuning does; no raw training cloud outlives this
-    data = values["finetune"] and VoxelizedScenes(train_scenes, cfg)
-    del train_scenes
+    data = values["finetune"] and VoxelizedScenes(load_split(values, "train"), cfg)
     trace = []
     for phase in ("pretrain", "finetune"):
         if values[phase] and (phase == "finetune" or state is None):

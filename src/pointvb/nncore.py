@@ -152,7 +152,7 @@ def encoder_input(cloud: PointCloud, plan: RowPlan, dtype=np.float64) -> np.ndar
 
 def encoder_forward(
     params: EncoderParams,
-    cloud: PointCloud,
+    cloud: PointCloud | None,
     neighbors: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     plan: RowPlan | None = None,
@@ -162,14 +162,15 @@ def encoder_forward(
     `rows` in their order, plus the tape needed for backprop. Layers compute
     only what the next reads, as planned by plan_rows from neighbors, the
     cloud's kNN indices (built when None; k must be smaller than M), or by
-    `plan`; inputs may hold the plan's encoder_input."""
-    m = len(cloud)
+    `plan`; inputs may hold the plan's encoder_input, which stands in for the
+    cloud when that is None."""
     if plan is None:
         if neighbors is None:
             neighbors = knn_indices(cloud.positions, params.knn)
         plan = plan_rows(neighbors, rows, len(params.weights), params.dtype)
-    if plan.graph != (m, params.knn):
-        raise DataError(f"graph shape {plan.graph} does not match ({m}, {params.knn})")
+    graph = (plan.graph[0] if cloud is None else len(cloud), params.knn)
+    if plan.graph != graph:
+        raise DataError(f"graph shape {plan.graph} does not match {graph}")
     x = encoder_input(cloud, plan, params.dtype) if inputs is None else inputs
     layer_inputs, relu_masks = [], []
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):

@@ -283,21 +283,14 @@ def finetune_plan(encoder: EncoderParams, cloud: PointCloud, labels: SparseLabel
         SparseLabelSet(labels.labels[rows], labels.num_classes)
 
 
-def finetune_grads(
-    state: TrainState,
-    cloud: PointCloud,
-    labels: SparseLabelSet,
-    cfg: TrainConfig,
-    neighbors: np.ndarray | None = None,
-    planned: tuple | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients for one voxelized scene with a labeled voxel;
-    planned, the scene's finetune_plan, is made here when None."""
+def finetune_grads(state: TrainState, planned: tuple
+                   ) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients for one voxelized scene from planned, its
+    finetune_plan."""
     if state.head is None:
         raise DataError("finetune requires a classification head")
-    plan, inputs, labeled = planned or finetune_plan(state.encoder, cloud, labels,
-                                                     neighbors)
-    features, tape = encoder_forward(state.encoder, cloud, plan=plan, inputs=inputs)
+    plan, inputs, labeled = planned
+    features, tape = encoder_forward(state.encoder, None, plan=plan, inputs=inputs)
     logits = features @ state.head.weight + state.head.bias
     loss, dlogits = masked_cross_entropy(logits, labeled)
     if not np.isfinite(loss):
@@ -401,6 +394,8 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
             if found.get(name) != shapes.get(name):
                 raise ValueError(f"tensor {name!r} has shape {found.get(name)}, "
                                  f"the stored config {shapes.get(name)}")
+        if type(meta["step"]) is not int or meta["step"] < 0:
+            raise ValueError(f"step {meta['step']!r} is not a step count")
         if meta["encoder_knn"] != cfg.knn:
             raise ValueError(f"encoder_knn {meta['encoder_knn']!r} is not knn {cfg.knn}")
         layers = len(cfg.hidden_widths) + 1

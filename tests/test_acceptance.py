@@ -35,6 +35,7 @@ from pointvb.training import (
     TrainConfig,
     attach_head,
     finetune_grads,
+    finetune_plan,
     init_state,
     load_checkpoint,
     masked_cross_entropy,
@@ -181,7 +182,8 @@ class TestCriterion1GradientFidelity:
             seed=seed, num_classes=2,
         )
         state = init_state(cfg, with_head=True)
-        _, grads = finetune_grads(state, cloud, labels, cfg)
+        planned = finetune_plan(state.encoder, cloud, labels)
+        _, grads = finetune_grads(state, planned)
 
         def loss_fn(params):
             probe = copy.deepcopy(state)
@@ -189,7 +191,7 @@ class TestCriterion1GradientFidelity:
             probe.encoder.biases = [params[f"enc.b{i}"] for i in range(2)]
             probe.head.weight = params["head.w"]
             probe.head.bias = params["head.b"]
-            loss, _ = finetune_grads(probe, cloud, labels, cfg)
+            loss, _ = finetune_grads(probe, planned)
             return loss
 
         return loss_fn, state.param_dict(), grads, 0.0

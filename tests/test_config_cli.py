@@ -231,6 +231,11 @@ labels_per_scene = 20
 """
 
 
+# a checkpoint's step, edited to what is not a count of steps taken
+STEP_EDITS = {"step_string": "x", "step_negative": -1, "step_fraction": 1.5,
+              "step_true": True}
+
+
 @pytest.fixture
 def tiny_config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -308,6 +313,9 @@ class TestCli:
 
     def test_eval_reads_only_the_validation_split(self, tiny_config_file,
                                                   tmp_path):
+        """With no training split on disk, `eval` of a run's final.ckpt, and
+        `run` with both phases off and that checkpoint as init_checkpoint,
+        both reproduce the run's report.csv."""
         data = tmp_path / "out" / "data"
         assert main(["synth", "--config", str(tiny_config_file),
                      "--out", str(tmp_path / "out")]) == 0
@@ -321,6 +329,13 @@ class TestCli:
                      "--checkpoint", str(run / "final.ckpt")]) == 0
         assert (evaluated / "report.csv").read_bytes() == \
             (run / "report.csv").read_bytes()
+        scoring = tmp_path / "score.cfg"
+        scoring.write_text(on_disk.read_text() + "pretrain = false\nfinetune = false\n"
+                           f"init_checkpoint = {run / 'final.ckpt'}\n")
+        scored = tmp_path / "scored"
+        assert main(["run", "--config", str(scoring), "--out", str(scored)]) == 0
+        assert (scored / "report.csv").read_bytes() == \
+            (evaluated / "report.csv").read_bytes()
 
     def test_synth_writes_dataset(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"
@@ -493,7 +508,8 @@ class TestCli:
                                       "shape_larger_than_data",
                                       "swapped_weight_dims", "swapped_head_dims",
                                       "momentum_of_another_shape",
-                                      "encoder_knn_not_knn", "nested_metadata"])
+                                      "encoder_knn_not_knn", "nested_metadata",
+                                      *STEP_EDITS])
     def test_malformed_checkpoint_structure_exit_code(
             self, edit, tiny_config_file, tmp_path, capsys):
         path = tmp_path / "edited.ckpt"
@@ -524,6 +540,8 @@ class TestCli:
             data += bytes(24)
         elif edit == "encoder_knn_not_knn":
             meta["encoder_knn"] = 4
+        elif edit in STEP_EDITS:
+            meta["step"] = STEP_EDITS[edit]
         meta_bytes = b"" if edit == "empty_metadata" else \
             json.dumps(meta).encode()
         if edit == "nested_metadata":  # deeper than the JSON decoder recurses
@@ -541,6 +559,8 @@ class TestCli:
             assert "data error" in err and "malformed checkpoint" in err
         if edit == "out_of_range_config_value":
             assert "'momentum'" in err
+        if edit in STEP_EDITS:
+            assert f"step {STEP_EDITS[edit]!r}" in err
 
     def test_eval_of_a_final_checkpoint_with_swapped_dims_exit_code(
             self, tiny_config_file, tmp_path):

@@ -232,8 +232,8 @@ class TestRowPlan:
         inputs = encoder_input(voxels, plan)
         fresh, fresh_tape = encoder_forward(enc, voxels, nbrs, rows)
         upstream = np.random.default_rng(5).normal(size=fresh.shape)
-        for _ in range(2):
-            features, tape = encoder_forward(enc, voxels, plan=plan, inputs=inputs)
+        for cloud in (voxels, None):  # the inputs stand in for the cloud
+            features, tape = encoder_forward(enc, cloud, plan=plan, inputs=inputs)
             np.testing.assert_array_equal(features, fresh)
             grads = encoder_backward(tape, upstream)
             for name, g in encoder_backward(fresh_tape, upstream).items():

@@ -151,6 +151,28 @@ def test_every_definition_is_read(tracer):
     assert not unread, unread
 
 
+def test_every_parameter_is_read():
+    """Each parameter of each function, method and lambda the package
+    defines (but a method's self, which Python passes) is read in its body,
+    a nested function's body included: a parameter that nothing reads is an
+    input that nothing obeys."""
+    unread = []
+    for path in sorted(Path(pointvb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for part in body for name in ast.walk(part)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            params = node.args
+            for arg in [*params.posonlyargs, *params.args, *params.kwonlyargs,
+                        *filter(None, (params.vararg, params.kwarg))]:
+                if arg.arg not in read | {"self"}:
+                    unread.append(f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+                                  f"({arg.arg}) at line {node.lineno}")
+    assert not unread, unread
+
+
 def test_every_train_config_field_is_read():
     """Each TrainConfig field is read as an attribute outside config.py, in
     the package or by the tracer: a field that is only stored (say, in every

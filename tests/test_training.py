@@ -49,6 +49,7 @@ from pointvb.training import (
     TrainConfig,
     attach_head,
     finetune_grads,
+    finetune_plan,
     init_state,
     load_checkpoint,
     masked_cross_entropy,
@@ -69,8 +70,8 @@ def pretrain_step(state, cloud, cfg):
 
 def finetune_step(state, cloud, labels, cfg):
     """One optimizer step on a single labeled cloud."""
-    return _accumulated_step(state, cfg,
-                             lambda: finetune_grads(state, cloud, labels, cfg))
+    return _accumulated_step(state, cfg, lambda: finetune_grads(
+        state, finetune_plan(state.encoder, cloud, labels)))
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -332,7 +333,7 @@ class TestFinetune:
         cfg = tiny_config(phase="finetune")
         state = init_state(cfg)
         with pytest.raises(DataError):
-            finetune_grads(state, cloud, labels, cfg)
+            finetune_grads(state, finetune_plan(state.encoder, cloud, labels))
 
     def test_deterministic_loss_sequence(self):
         cloud, labels = tiny_scene()
@@ -350,7 +351,8 @@ class TestFinetune:
         cfg = tiny_config(phase="finetune", feature_dim=6, hidden_widths=(8,),
                           knn=4)
         state = init_state(cfg, with_head=True)
-        _, grads = finetune_grads(state, cloud, labels, cfg)
+        planned = finetune_plan(state.encoder, cloud, labels)
+        _, grads = finetune_grads(state, planned)
 
         def loss_fn(params):
             probe = copy.deepcopy(state)
@@ -358,7 +360,7 @@ class TestFinetune:
                 probe.encoder.weights[i] = params[f"enc.w{i}"]
                 probe.encoder.biases[i] = params[f"enc.b{i}"]
             probe.head = HeadParams(params["head.w"], params["head.b"])
-            loss, _ = finetune_grads(probe, cloud, labels, cfg)
+            loss, _ = finetune_grads(probe, planned)
             return loss
 
         errors = gradient_check(
@@ -439,8 +441,9 @@ class TestFullGraphReference:
             labels = subsample_labels(labels, labeled, 5)
         cfg = TrainConfig(phase="finetune")
         state = init_state(cfg, with_head=True)
-        self.assert_same(finetune_grads(state, cloud, labels, cfg, nbrs),
-                         full_graph_finetune_grads(state, cloud, labels, nbrs))
+        self.assert_same(
+            finetune_grads(state, finetune_plan(state.encoder, cloud, labels, nbrs)),
+            full_graph_finetune_grads(state, cloud, labels, nbrs))
 
 
 class TestFloat32AgainstFloat64:
@@ -461,7 +464,8 @@ class TestFloat32AgainstFloat64:
     def test_pair_and_finetune_compute(self):
         cfg = tiny_config()
         data = VoxelizedScenes(make_synthetic_dataset(5, 1, 1024, 4), cfg)
-        cloud, labels, neighbors = data.clouds[0], data.labels[0], data.neighbors[0]
+        cloud, mapping, neighbors = data.clouds[0], data.mappings[0], data.neighbors[0]
+        labels = vote_labels(data.point_labels[0], mapping)
         rng = np.random.default_rng(0)
         view_p, view_q = (apply_transform(cloud, sample_transform(rng, len(cloud)))
                           for _ in range(2))
@@ -474,7 +478,8 @@ class TestFloat32AgainstFloat64:
             features, _ = encoder_forward(state.encoder, view_p, neighbors)
             results.append((features, pair_loss_and_grads(
                 state.encoder, view_p, view_q, sample, cfg, neighbors),
-                finetune_grads(state, cloud, labels, cfg, neighbors)))
+                finetune_grads(state, finetune_plan(state.encoder, cloud, labels,
+                                                    neighbors))))
         (features, *computes), (reference, *references) = results
         assert features.dtype == np.float32
         self.assert_close(features, reference, "features")
@@ -535,8 +540,7 @@ class TestVoxelizedScenes:
             np.testing.assert_array_equal(data.clouds[i].colors, voxels.colors)
             assert data.mappings[i].dtype == data.neighbors[i].dtype == np.int32
             np.testing.assert_array_equal(data.mappings[i], mapping)
-            np.testing.assert_array_equal(data.labels[i].labels,
-                                          vote_labels(labels, mapping).labels)
+            assert data.point_labels[i] is labels
             np.testing.assert_array_equal(data.neighbors[i],
                                           knn_indices(voxels.positions, cfg.knn))
 
@@ -606,6 +610,56 @@ class TestVoxelizedScenes:
         assert len(clouds) == 3 and alive == [0]
 
 
+class TestLabelVotes:
+    """Fine-tuning votes each scene's point labels once, before its first
+    step; preparing the scenes and pretraining vote none."""
+
+    VALUES = {**default_config(), "num_scenes": 3, "points_per_scene": 256,
+              "feature_dim": 8, "hidden_widths": (16,), "knn": 8, "fps_count": 32,
+              "pretrain_steps": 3, "finetune_steps": 4, "labels_per_scene": 20}
+
+    @staticmethod
+    def counting(monkeypatch):
+        """The label sets experiment.vote_labels votes, and the number voted
+        by the time each fine-tune compute starts."""
+        voted, at_compute = [], []
+        vote, grads = experiment.vote_labels, experiment.finetune_grads
+        monkeypatch.setattr(experiment, "vote_labels",
+                            lambda labels, *a: voted.append(labels) or vote(labels, *a))
+        monkeypatch.setattr(experiment, "finetune_grads",
+                            lambda *a: at_compute.append(len(voted)) or grads(*a))
+        return voted, at_compute
+
+    def test_run_phase(self, tmp_path, monkeypatch):
+        values = self.VALUES
+        voted, at_compute = self.counting(monkeypatch)
+        data = VoxelizedScenes(load_split(values, "train"),
+                               train_config(values, "finetune"))
+        assert not hasattr(data, "labels") and voted == []
+        state, _ = run_phase(values, "pretrain", data, None, tmp_path)
+        assert voted == []
+        run_phase(values, "finetune", data, state, tmp_path)
+        assert at_compute == [3] * 4
+        sparse = experiment.sparse_labels(data.point_labels, values["labels_per_scene"],
+                                          values["seed"])
+        for got, expected in zip(voted, sparse, strict=True):
+            np.testing.assert_array_equal(got.labels, expected.labels)
+
+    def test_sparsified_scenes(self, monkeypatch):
+        """The benchmark's in-process path: scenes sparsified before they
+        are prepared."""
+        values = self.VALUES
+        cfg = train_config(values, "finetune")
+        voted, at_compute = self.counting(monkeypatch)
+        scenes = experiment.sparsify_scenes(load_split(values, "train"), 20, 1)
+        data = VoxelizedScenes(scenes, cfg)
+        assert voted == []
+        experiment.finetune(init_state(cfg, with_head=True), data, cfg)
+        assert at_compute == [3] * 4
+        assert [id(labels) for labels in voted] == \
+            [id(labels) for _, labels in scenes.scenes]
+
+
 class TestPairThreads:
     @pytest.mark.parametrize("failing", ["p", "q"])
     def test_numeric_error_in_one_view(self, failing, monkeypatch):
@@ -668,8 +722,9 @@ class TestPlannedSteps:
         def replan_every_step(state, data, cfg):
             def compute():
                 i = int(state.rng.integers(len(data.clouds)))
-                return finetune_grads(state, data.clouds[i], data.labels[i], cfg,
-                                      data.neighbors[i])
+                labels = vote_labels(data.point_labels[i], data.mappings[i])
+                return finetune_grads(state, finetune_plan(
+                    state.encoder, data.clouds[i], labels, data.neighbors[i]))
             return experiment._train(state, cfg, compute)
 
         monkeypatch.setattr(experiment, "finetune", replan_every_step)
