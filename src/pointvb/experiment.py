@@ -68,13 +68,12 @@ def make_synthetic_dataset(
 class VoxelizedScenes:
     """What training reads of each scene, not its raw cloud: its
     metrics.prepare_scene and its points' labels, which fine-tuning votes;
-    built on a pool of one thread per usable core that ends with the constructor."""
+    built by metrics.prepared_scenes, whose pool ends with the constructor."""
 
     def __init__(self, scenes: SceneSet, cfg: TrainConfig):
-        cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        with ThreadPoolExecutor(cores and len(cores)) as pool:
-            built = list(pool.map(lambda cloud: metrics.prepare_scene(
-                cloud, cfg.voxel_size, cfg.knn), [cloud for cloud, _ in scenes.scenes]))
+        with contextlib.closing(metrics.prepared_scenes(
+                [cloud for cloud, _ in scenes.scenes], cfg.voxel_size, cfg.knn)) as ahead:
+            built = [prepared.result() for prepared in ahead]
         self.clouds, self.mappings, self.neighbors = map(list, zip(*built))
         self.point_labels = [labels for _, labels in scenes.scenes]
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -47,15 +50,8 @@ def miou(cm: ConfusionMatrix) -> tuple[list[float | None], float]:
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
     denom = tp + fp + fn
-    per_class: list[float | None] = []
-    included = []
-    for c in range(len(counts)):
-        if denom[c] == 0:
-            per_class.append(None)
-        else:
-            iou = float(tp[c]) / float(denom[c])
-            per_class.append(iou)
-            included.append(iou)
+    per_class = [None if d == 0 else float(t) / float(d) for t, d in zip(tp, denom)]
+    included = [iou for iou in per_class if iou is not None]
     if not included:
         raise DataError("all classes degenerate; mIoU undefined")
     return per_class, float(np.mean(included))
@@ -77,6 +73,20 @@ def prepare_scene(cloud, voxel_size: float, knn: int) -> tuple:
     return voxels, mapping.astype(np.int32), graph.astype(np.int32)
 
 
+def prepared_scenes(clouds, voxel_size: float, knn: int) -> Iterator[Future]:
+    """A future of each cloud's prepare_scene, in order, on one thread per usable core
+    and at most that many past the last yielded; the pool ends when the iterator does."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ThreadPoolExecutor(cores) as pool:
+        ahead = []
+        for cloud in clouds:
+            ahead.append(pool.submit(prepare_scene, cloud, voxel_size, knn))
+            if len(ahead) > cores:
+                yield ahead.pop(0)
+        yield from ahead
+
+
 def predict_scene(state: TrainState, cloud, cfg: TrainConfig,
                   prepared: Future | None = None) -> np.ndarray:
     """Per-original-point class predictions via the voxel pipeline; prepared
@@ -95,8 +105,8 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
 
     Predictions are made per voxel and projected back to every original
     point; only points with present ground truth enter the confusion
-    matrix. Those scenes are scored in order while one helper thread builds
-    the next one's voxels and kNN graph, never more than one scene ahead.
+    matrix. Those scenes are scored in order while prepared_scenes builds the
+    next ones on one thread per usable core, each waited for in predict_scene.
     """
     set_up_process()
     state = replace(state)  # scored as a float32 copy; the caller's arrays stay
@@ -111,14 +121,10 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     if not scored:
         raise DataError("no scene carries ground-truth labels")
     cm = ConfusionMatrix.zeros(cfg.num_classes)
-    with ThreadPoolExecutor(1) as pool:
-        def prepare(i: int) -> Future | None:
-            return pool.submit(prepare_scene, scored[i][0], cfg.voxel_size,
-                               state.encoder.knn) if i < len(scored) else None
-        ahead = prepare(0)
-        for i, (cloud, labels) in enumerate(scored):
-            current, ahead = ahead, prepare(i + 1)
-            predicted = predict_scene(state, cloud, cfg, current)
+    with contextlib.closing(prepared_scenes(
+            [cloud for cloud, _ in scored], cfg.voxel_size, state.encoder.knn)) as ahead:
+        for (cloud, labels), prepared in zip(scored, ahead):
+            predicted = predict_scene(state, cloud, cfg, prepared)
             mask = labels.present_mask
             cm.add(labels.labels[mask], predicted[mask])
     per_class, mean = miou(cm)

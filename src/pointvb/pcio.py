@@ -308,13 +308,13 @@ def load_labels(path: str | Path, num_classes: int, num_points: int) -> SparseLa
             index, cls = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise LabelError(f"{path}:{lineno}: non-integer field") from None
+        if index < 0:
+            raise LabelError(f"{path}:{lineno}: negative index {index}")
         if index <= previous:
             kind = "duplicate" if index == previous else "non-increasing"
             raise LabelError(f"{path}:{lineno}: {kind} index {index}")
         if index >= num_points:
-            raise LabelError(
-                f"{path}:{lineno}: index {index} >= point count {num_points}"
-            )
+            raise LabelError(f"{path}:{lineno}: index {index} >= point count {num_points}")
         if not 0 <= cls < num_classes:
             raise LabelError(
                 f"{path}:{lineno}: class {cls} outside [0, {num_classes})"

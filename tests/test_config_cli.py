@@ -450,6 +450,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and "non-finite colors" in err
 
+    def test_negative_label_index_exit_code(self, tiny_config_file, tmp_path,
+                                            capsys):
+        data = tmp_path / "out" / "data"
+        assert main(["synth", "--config", str(tiny_config_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        bad = sorted((data / "val").glob("scene_*.labels"))[0]
+        bad.write_text("-1 1\n")
+        on_disk = tmp_path / "on_disk.cfg"
+        on_disk.write_text(TINY_CONFIG + f"data_dir = {data}\n")
+        assert main(["run", "--config", str(on_disk),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{bad}:1: negative index -1" in err
+
     @pytest.mark.parametrize("x, voxel_size", [(1e19, 0.05), (1.0, 1e-310)])
     def test_voxel_key_past_int64_exit_code(self, x, voxel_size, tiny_config_file,
                                             tmp_path, capsys):

@@ -1,5 +1,9 @@
 import copy
+import itertools
+import os
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from pointvb import metrics
 from pointvb.cli import main
 from pointvb.errors import DataError
-from pointvb.experiment import make_synthetic_dataset
+from pointvb.experiment import VoxelizedScenes, make_synthetic_dataset
 from pointvb.metrics import ConfusionMatrix, RunReport, evaluate, miou, \
     predict_scene
 from pointvb.pcio import ABSENT, SceneSet, SparseLabelSet, \
@@ -214,12 +218,17 @@ class TestEvaluate:
 
 
 class TestLookAhead:
-    """evaluate builds the next scored scene's voxels and kNN graph on a
-    helper thread while it scores the current one, each scored scene once
-    through metrics.prepare_scene, the preparation training uses."""
+    """evaluate scores its scenes in order on the calling thread while
+    metrics.prepared_scenes builds the next ones' voxels and kNN graphs on
+    one thread per usable core, at most that many scenes ahead, each scored
+    scene once through metrics.prepare_scene, the preparation training uses;
+    predict_scene gets each scene's future and waits for it in its own call,
+    so its spans cover every wait."""
 
     @staticmethod
-    def check_equals_scenes_alone(scenes, cfg, monkeypatch):
+    def check_equals_scenes_alone(scenes, cfg, monkeypatch, cores=None):
+        """Scores equal the scenes scored alone, under the usable cores or
+        under `cores` of them, whose count of helper threads prepares ahead."""
         state = init_state(cfg, with_head=True)
         to_float32(state)  # the precision evaluate scores in
         alone = [predict_scene(state, cloud, cfg) for cloud, _ in scenes.scenes]
@@ -227,26 +236,58 @@ class TestLookAhead:
         for (_, labels), predicted in zip(scenes.scenes, alone):
             mask = labels.present_mask
             cm.add(labels.labels[mask], predicted[mask])
-        prepared, predictions, dtypes = [], [], set()
+        scored = [(cloud, predicted) for (cloud, labels), predicted
+                  in zip(scenes.scenes, alone) if labels.present_mask.any()]
+        if cores is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        usable = len(os.sched_getaffinity(0))
+        prepared, threads, started, predictions, spans = [], set(), [], [], []
+        dtypes, lock = set(), threading.Lock()
         prepare, predict = metrics.prepare_scene, metrics.predict_scene
 
         def recorded_prepare(cloud, *args):
-            prepared.append(id(cloud))
+            with lock:
+                prepared.append(id(cloud))
+                threads.add(threading.get_ident())
+            # so that every pool thread takes a scene, and the first scored
+            # scene's predict_scene has a wait to cover
+            time.sleep(0.1 if cloud is scored[0][0] else 0.005)
             _, mapping, neighbors = result = prepare(cloud, *args)
             dtypes.update((mapping.dtype, neighbors.dtype))
             return result
 
-        def recorded_predict(state, cloud, *args):
-            predictions.append((id(cloud), predict(state, cloud, *args)))
+        class Watched:
+            """A future whose result() records that it was called."""
+
+            def __init__(self, future):
+                self.future, self.waited = future, False
+
+            def result(self):
+                self.waited = True
+                return self.future.result()
+
+        def recorded_predict(state, cloud, cfg, future):
+            time.sleep(0.01)  # a slow scorer, which an unbounded pool would outrun
+            with lock:
+                started.append(len(prepared))
+            assert isinstance(future, Future)
+            watched, begun = Watched(future), time.perf_counter()
+            predictions.append((id(cloud), predict(state, cloud, cfg, watched)))
+            spans.append(time.perf_counter() - begun)
+            assert watched.waited  # predict_scene resolved the future itself
             return predictions[-1][1]
 
         monkeypatch.setattr(metrics, "prepare_scene", recorded_prepare)
         monkeypatch.setattr(metrics, "predict_scene", recorded_predict)
         assert evaluate(state, scenes, cfg) == RunReport(*miou(cm))
-        scored = [(id(cloud), predicted) for (cloud, labels), predicted
-                  in zip(scenes.scenes, alone) if labels.present_mask.any()]
-        assert [i for i, _ in predictions] == prepared == [i for i, _ in scored]
+        assert [i for i, _ in predictions] == [id(cloud) for cloud, _ in scored]
+        assert sorted(prepared) == sorted(id(cloud) for cloud, _ in scored)
         assert dtypes == {np.dtype(np.int32)}
+        assert threading.get_ident() not in threads
+        assert len(threads) == min(usable, len(scored))
+        for i, count in enumerate(started):
+            assert count <= i + 1 + usable, (i, count)
+        assert spans[0] >= 0.05  # the first scene's span covers its wait
         for (_, got), (_, expected) in zip(predictions, scored):
             np.testing.assert_array_equal(got, expected)
 
@@ -255,6 +296,12 @@ class TestLookAhead:
         scenes = make_synthetic_dataset(3, 4, 2048, 4, split="val")
         self.check_equals_scenes_alone(scenes, cfg, monkeypatch)
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_prepares_ahead_on_every_usable_core(self, cores, monkeypatch):
+        cfg = small_cfg()
+        scenes = make_synthetic_dataset(5, 6, 1024, 4, split="val")
+        self.check_equals_scenes_alone(scenes, cfg, monkeypatch, cores)
+
     def test_scene_without_truth_is_never_prepared(self, monkeypatch):
         cfg = small_cfg()
         scenes = make_synthetic_dataset(4, 3, 2048, 4, split="val")
@@ -262,28 +309,34 @@ class TestLookAhead:
         scenes.scenes[1] = (cloud, SparseLabelSet(np.full(len(cloud), ABSENT), 4))
         self.check_equals_scenes_alone(scenes, cfg, monkeypatch)
 
-    def test_too_few_voxels_raises_and_ends_the_helper(self, tmp_path, capsys):
-        """A second scene with fewer voxels than knn + 1 fails its graph on
-        the helper thread; the error reaches the caller and the CLI's exit
-        code, and no thread outlives evaluate."""
+    def test_too_few_voxels_raises_and_ends_the_helper(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """A scene with fewer voxels than knn + 1, first, in the middle or
+        last, under 1 or 2 usable cores, fails its graph on a pool thread;
+        the error reaches the caller of evaluate and of VoxelizedScenes and
+        the CLI's exit code, and no thread outlives the call."""
         cfg = small_cfg()
-        scenes = SceneSet(
-            [generate_synthetic_scene(6, 256, 4),
-             generate_synthetic_scene(7, cfg.knn, 4),
-             generate_synthetic_scene(8, 256, 4)],
-            split="val", scene_ids=["v0", "v1", "v2"],
-        )
         state = init_state(cfg, with_head=True)
-        threads = threading.active_count()
-        with pytest.raises(DataError, match="must be smaller than point count"):
-            evaluate(state, scenes, cfg)
-        assert threading.active_count() == threads
-        write_scene_set(scenes, tmp_path / "data" / "val")
-        config = tmp_path / "tiny.cfg"
-        config.write_text(f"data_dir = {tmp_path / 'data'}\nfeature_dim = 8\n"
-                          "hidden_widths = 16\nknn = 8\nnum_classes = 4\n")
         save_checkpoint(state, cfg, tmp_path / "head.ckpt")
-        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out"),
-                     "--checkpoint", str(tmp_path / "head.ckpt")]) == 2
-        assert "must be smaller than point count" in capsys.readouterr().err
-        assert threading.active_count() == threads
+        threads = threading.active_count()
+        for cores, bad in itertools.product((1, 2), (0, 2, 4)):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cores: set(range(n)))
+            clouds = [generate_synthetic_scene(6 + i, 256, 4) for i in range(5)]
+            clouds[bad] = generate_synthetic_scene(11, cfg.knn, 4)
+            scenes = SceneSet(clouds, split="val", scene_ids=[f"v{i}" for i in range(5)])
+            with pytest.raises(DataError, match="must be smaller than point count"):
+                evaluate(state, scenes, cfg)
+            assert threading.active_count() == threads, (cores, bad)
+            with pytest.raises(DataError, match="must be smaller than point count"):
+                VoxelizedScenes(scenes, cfg)
+            assert threading.active_count() == threads, (cores, bad)
+            data = tmp_path / f"data{cores}{bad}"
+            write_scene_set(scenes, data / "val")
+            config = tmp_path / "tiny.cfg"
+            config.write_text(f"data_dir = {data}\nfeature_dim = 8\n"
+                              "hidden_widths = 16\nknn = 8\nnum_classes = 4\n")
+            assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out"),
+                         "--checkpoint", str(tmp_path / "head.ckpt")]) == 2
+            assert "must be smaller than point count" in capsys.readouterr().err
+            assert threading.active_count() == threads, (cores, bad)

@@ -217,6 +217,15 @@ class TestLabels:
         with pytest.raises(LabelError, match="duplicate"):
             load_labels(path, 20, 8)
 
+    @pytest.mark.parametrize("text", ["-1 1\n", "-5 1\n", "2 1\n-1 3\n"])
+    def test_negative_index(self, tmp_path, text):
+        """A negative index is named as such, not as a duplicate of, or
+        below, the index before the first line."""
+        path = tmp_path / "l.txt"
+        path.write_text(text)
+        with pytest.raises(LabelError, match=r":\d+: negative index -\d$"):
+            load_labels(path, 20, 8)
+
     def test_decreasing_index(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("5 1\n2 3\n")

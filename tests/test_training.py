@@ -555,6 +555,24 @@ class TestVoxelizedScenes:
         VoxelizedScenes(scenes, cfg)
         assert sorted(prepared) == sorted(id(cloud) for cloud, _ in scenes.scenes)
 
+    @pytest.mark.parametrize("cpus, bound", [(2, 2), (None, 1)])
+    def test_pool_without_affinity_has_one_thread_per_cpu(self, cpus, bound,
+                                                          monkeypatch):
+        """Where os.sched_getaffinity is missing, the pool holds os.cpu_count()
+        threads, or one where that is None, not ThreadPoolExecutor's default."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        threads, prepare = set(), metrics.prepare_scene
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            time.sleep(0.005)  # so that every pool thread takes a scene
+            return prepare(*args)
+
+        monkeypatch.setattr(metrics, "prepare_scene", recorded)
+        VoxelizedScenes(make_synthetic_dataset(2, 8, 256, 4), tiny_config())
+        assert 1 <= len(threads) <= bound
+
     def test_run_experiment_bytes_do_not_depend_on_preparation_timing(
             self, tmp_path, monkeypatch):
         """Seeded random 0-5 ms sleeps in every metrics.prepare_scene call
