@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth, pretrain, finetune, eval, gradcheck, run. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure.
+0 success, 1 usage error, 2 data error, 3 numeric failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # say, a config whose arrays the machine cannot hold
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: UsageError -> 1, DataError -> 2,
-NumericError -> 3.
+NumericError -> 3, and Python's MemoryError -> 4.
 """
 
 

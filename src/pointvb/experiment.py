@@ -9,7 +9,6 @@ import copy
 import functools
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +128,7 @@ def pretrain(
     bounds how far ahead it runs. Once it is gone, or a sample does not
     match its compute's draws, FPS runs in process for the rest of the
     phase: FPS is a pure function of (cloud, H, start), so the bytes agree.
-    View q of each pair runs on a helper thread that starts at the first
-    pair, after the fork, and ends with the phase."""
+    Both views of each pair run on the calling thread."""
     computes = (cfg.iterations - state.step) * cfg.batch_size
     fork = computes > 1 and "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
@@ -159,9 +157,9 @@ def pretrain(
                 fork = False
                 worker.terminate()
         return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i],
-                              draws, got[2] if fork else None, pool)
+                              draws, got[2] if fork else None)
 
-    with conn, sender, ThreadPoolExecutor(1) as pool:
+    with conn, sender:
         try:
             return _train(state, cfg, compute)
         except BaseException:

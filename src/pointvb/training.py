@@ -10,7 +10,6 @@ import math
 import os
 import struct
 import zlib
-from concurrent.futures import Executor, wait
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -148,18 +147,6 @@ def sgd_momentum_step(
                 raise NumericError(f"non-finite {name} after an SGD step at lr {lr}")
 
 
-def _both(pool: Executor | None, fn, p, q) -> tuple:
-    """(fn(p), fn(q)), fn(q) on pool's thread while fn(p) runs here (both
-    here when pool is None). Returns or raises only once neither runs."""
-    if pool is None:
-        return fn(p), fn(q)
-    later = pool.submit(fn, q)
-    try:
-        return fn(p), later.result()
-    finally:
-        wait([later])
-
-
 def pair_loss_and_grads(
     encoder: EncoderParams,
     view_p: PointCloud,
@@ -167,26 +154,21 @@ def pair_loss_and_grads(
     sample: np.ndarray,
     cfg: TrainConfig,
     neighbors: np.ndarray | None = None,
-    pool: Executor | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Viewpoint-bottleneck loss of two views at the shared `sample` rows
-    and its gradients with respect to every encoder parameter.
+    and its gradients with respect to every encoder parameter, p's then q's.
 
     cfg gives the loss's off_diagonal_weight and squared_norm. neighbors is
     the kNN graph both views share, planned once for both; each view builds
-    and plans its own when it is None. With a pool, view q's forward and
-    backward run on its thread beside view p's; the loss and the sum of the
-    gradients, p's then q's, stay here, so the bytes do not change.
+    and plans its own when it is None.
     """
     plan = None if neighbors is None else \
         plan_rows(neighbors, sample, len(encoder.weights), encoder.dtype)
-    (feats_p, tape_p), (feats_q, tape_q) = _both(
-        pool, lambda view: encoder_forward(encoder, view, rows=sample, plan=plan),
-        view_p, view_q)
+    feats_p, tape_p = encoder_forward(encoder, view_p, rows=sample, plan=plan)
+    feats_q, tape_q = encoder_forward(encoder, view_q, rows=sample, plan=plan)
     loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, cfg)
-    grads, grads_q = _both(pool, lambda pair: encoder_backward(*pair),
-                           (tape_p, grad_p), (tape_q, grad_q))
-    for name, g in grads_q.items():
+    grads = encoder_backward(tape_p, grad_p)
+    for name, g in encoder_backward(tape_q, grad_q).items():
         grads[name] += g
     return loss, grads
 
@@ -213,7 +195,6 @@ def pretrain_grads(
     neighbors: np.ndarray | None = None,
     draws: tuple[TransformSpec, TransformSpec, int] | None = None,
     sample: np.ndarray | None = None,
-    pool: Executor | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and parameter gradients for one cloud, without updating.
 
@@ -221,7 +202,6 @@ def pretrain_grads(
     untransformed cloud, so correlated rows describe the same points. draws
     (both views' transforms and the FPS start) come from state.rng when
     None; sample, pretrain_sample of that start, is computed when None.
-    pool, if given, runs view q (pair_loss_and_grads).
     """
     t_p, t_q, start = draws or pretrain_draws(state.rng, [cloud])[1]
     view_p = apply_transform(cloud, t_p)
@@ -231,7 +211,7 @@ def pretrain_grads(
     if sample is None:
         sample = pretrain_sample(cloud, cfg, start)
     loss, grads = pair_loss_and_grads(state.encoder, view_p, view_q, sample,
-                                      cfg, neighbors, pool)
+                                      cfg, neighbors)
     if state.head is not None:
         grads["head.w"] = np.zeros_like(state.head.weight)
         grads["head.b"] = np.zeros_like(state.head.bias)

@@ -773,6 +773,28 @@ class TestCli:
         assert "data error" in err and message in err
         assert loads == [] and not (out / "pretrain.ckpt").exists()
 
+    def test_allocation_past_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A scene larger than memory (1e10 points would ask NumPy for 224 GiB)
+        exits 4 with one line and no traceback; the generator raises NumPy's
+        MemoryError here in place of allocating."""
+        asked = []
+
+        def refuse(seed, num_points, num_classes):
+            asked.append(num_points)
+            raise MemoryError(f"Unable to allocate 224. GiB for an array with "
+                              f"shape ({num_points}, 3) and data type float64")
+
+        monkeypatch.setattr(experiment, "generate_synthetic_scene", refuse)
+        config = tmp_path / "huge.cfg"
+        config.write_text(TINY_CONFIG.replace("points_per_scene = 256",
+                                              "points_per_scene = 10000000000"))
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 224. GiB")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert asked == [10_000_000_000]
+
     def test_unknown_subcommand(self):
         assert main(["explode"]) == 1
 

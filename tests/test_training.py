@@ -6,7 +6,6 @@ import signal
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -371,9 +370,9 @@ class TestFinetune:
 
 
 def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
-                                   neighbors=None, pool=None):
+                                   neighbors=None):
     """pair_loss_and_grads through all-rows forwards and upstreams that are
-    zero off the sample, both views on this thread."""
+    zero off the sample."""
     feats_p, tape_p = encoder_forward(encoder, view_p, neighbors)
     feats_q, tape_q = encoder_forward(encoder, view_q, neighbors)
     loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
@@ -680,10 +679,9 @@ class TestLabelVotes:
 
 class TestPairThreads:
     @pytest.mark.parametrize("failing", ["p", "q"])
-    def test_numeric_error_in_one_view(self, failing, monkeypatch):
-        """A view whose forward raises fails the pair with its NumericError,
-        and only once the other view's forward, slowed here, has finished:
-        no submitted work is left pending."""
+    def test_numeric_error_in_one_view(self, failing):
+        """A view whose encoder input is not finite fails the pair with its
+        NumericError, whichever view it is."""
         cloud, _ = tiny_scene()
         cfg = tiny_config()
         encoder = init_state(cfg).encoder
@@ -691,27 +689,10 @@ class TestPairThreads:
         nan.colors[:] = np.nan  # a cloud rejects NaN colors only when built
         views = {"p": cloud, "q": cloud}
         views[failing] = nan
-        forward, finished = training.encoder_forward, []
-
-        def slow_when_finite(encoder, view, **kwargs):
-            if view is not nan:
-                time.sleep(0.05)
-            result = forward(encoder, view, **kwargs)
-            finished.append(threading.get_ident())
-            return result
-
-        monkeypatch.setattr(training, "encoder_forward", slow_when_finite)
         sample = farthest_point_sampling(cloud, cfg.fps_count, 0)
-        with ThreadPoolExecutor(1) as pool:
-            submit, submitted = pool.submit, []
-            pool.submit = lambda *a, **k: submitted.append(submit(*a, **k)) \
-                or submitted[-1]
-            with pytest.raises(NumericError, match="non-finite encoder input"):
-                pair_loss_and_grads(encoder, views["p"], views["q"], sample, cfg,
-                                    knn_indices(cloud.positions, cfg.knn), pool)
-            assert len(submitted) == 1 and submitted[0].done()
-            assert len(finished) == 1
-            assert (finished[0] == threading.get_ident()) == (failing == "q")
+        with pytest.raises(NumericError, match="non-finite encoder input"):
+            pair_loss_and_grads(encoder, views["p"], views["q"], sample, cfg,
+                                knn_indices(cloud.positions, cfg.knn))
 
 
 class TestPlannedSteps:
@@ -859,9 +840,9 @@ class TestFpsWorker:
         assert multiprocessing.active_children() == []
 
     def test_two_phases_in_one_process(self, tmp_path, monkeypatch):
-        """Two pretrain phases in a row each equal the inline loop; view q
-        runs on a helper thread, no helper thread is alive at either fork,
-        and each phase leaves no thread or process behind."""
+        """Two pretrain phases in a row each equal the inline loop; every
+        view's forward runs on the calling thread, no thread is started
+        beside it, and each phase leaves no thread or process behind."""
         cfg, data, prefetched, inline = self.data_and_states("batch1")
         threads = threading.active_count()
         at_fork, viewers = [], set()
@@ -869,7 +850,7 @@ class TestFpsWorker:
         monkeypatch.setattr(BaseProcess, "start", lambda process: at_fork.append(
             threading.active_count()) or start(process))
         monkeypatch.setattr(training, "encoder_forward", lambda *a, **k: viewers.add(
-            threading.get_ident()) or forward(*a, **k))
+            (threading.get_ident(), threading.active_count())) or forward(*a, **k))
         for iterations in (5, 12):
             phase_cfg = replace(cfg, iterations=iterations)
             reference = inline_pretrain(inline, data, phase_cfg)
@@ -879,7 +860,7 @@ class TestFpsWorker:
             assert threading.active_count() == threads
             assert multiprocessing.active_children() == []
         assert at_fork == [threads, threads]
-        assert viewers - {threading.get_ident()}
+        assert viewers == {(threading.get_ident(), threads)}
 
     def test_killed_worker(self, tmp_path, monkeypatch):
         """A worker that dies after two samples: the phase reads those, then
@@ -900,6 +881,35 @@ class TestFpsWorker:
         trace = experiment.pretrain(prefetched, data, cfg)
         computes = cfg.iterations * cfg.batch_size
         assert len(fps) == computes - 2
+        self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("variant", ["delayed", "killed"])
+    def test_perturbed_worker(self, variant, seed, tmp_path, monkeypatch):
+        """A worker that sleeps a seeded 0-5 ms before each send, or kills
+        itself at a seeded sample count: the phase still writes what the
+        inline loop writes, and leaves no process behind."""
+        cfg, data, prefetched, inline = self.data_and_states("batch2")
+        reference = inline_pretrain(inline, data, cfg)
+        computes = cfg.iterations * cfg.batch_size
+        rng = np.random.default_rng(seed)
+        kill_at = int(rng.integers(computes - 1)) if variant == "killed" else None
+        phase, sent = os.getpid(), []
+
+        def perturbed(*args):
+            if os.getpid() != phase and len(sent) == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(1)
+            sample = training.pretrain_sample(*args)
+            if variant == "delayed":
+                time.sleep(rng.uniform(0.0, 0.005))
+            return sample
+
+        monkeypatch.setattr(experiment, "pretrain_sample", perturbed)
+        fps = self.in_process_fps(monkeypatch)
+        trace = experiment.pretrain(prefetched, data, cfg)
+        assert len(fps) == (1 if kill_at is None else computes - kill_at)
         self.assert_same(tmp_path, cfg, prefetched, inline, (trace, reference))
         assert multiprocessing.active_children() == []
 
