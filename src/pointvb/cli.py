@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import check, default_config, load_config, train_config
 from .errors import DataError, NumericError, UsageError
 from .experiment import (
@@ -24,14 +22,16 @@ from .experiment import (
     run_phase,
     write_report_csv,
 )
-from .geometry import farthest_point_sampling
-from .metrics import evaluate
-from .nncore import EncoderParams, encoder_forward, gradient_check
+from .geometry import apply_transform
+from .metrics import evaluate, prepare_scene
+from .nncore import EncoderParams, encoder_forward, encoder_input, gradient_check, plan_rows
 from .pcio import generate_synthetic_scene, make_directory
 from .training import (
     init_state,
     load_checkpoint,
     pair_loss_and_grads,
+    pretrain_draws,
+    pretrain_sample,
     save_checkpoint,  # unused; perfbench/tracer.py traces this name
 )
 from .vbloss import vb_loss_backward
@@ -117,28 +117,30 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    """Check the full pretrain loss gradient on a tiny random instance."""
+    """Check the full pretrain loss gradient on a tiny random instance: the pair
+    pretraining runs, two views of one prepared cloud over its kNN graph."""
     values = _values(args)
-    seed = values["seed"]
     cfg = replace(train_config(values, "pretrain"), feature_dim=8,
-                  hidden_widths=(8,), knn=4, fps_count=16)
-    cloud, _ = generate_synthetic_scene(seed, 32, 2)
-    other, _ = generate_synthetic_scene(seed + 1, 32, 2)
+                  hidden_widths=(8,), knn=4, fps_count=16, voxel_size=0.05)
+    cloud, _ = generate_synthetic_scene(values["seed"], 32, 2)
+    cloud, _, neighbors = prepare_scene(cloud, cfg.voxel_size, cfg.knn)
     state = init_state(cfg)
-    rng = np.random.default_rng(seed)
-    sample = farthest_point_sampling(cloud, cfg.fps_count, 0)
+    _, (t_p, t_q, start) = pretrain_draws(state.rng, [cloud])
+    views = apply_transform(cloud, t_p), apply_transform(cloud, t_q)
+    sample = pretrain_sample(cloud, cfg, start)
+    layers = range(len(state.encoder.weights))
+    plan = plan_rows(neighbors, None, len(layers))
+    inputs = [encoder_input(view, plan) for view in views]
 
     def loss_fn(params):
-        layers = range(len(state.encoder.weights))
         enc = EncoderParams([params[f"enc.w{i}"] for i in layers],
-                            [params[f"enc.b{i}"] for i in layers], cfg.knn)
-        fp, _ = encoder_forward(enc, cloud)
-        fq, _ = encoder_forward(enc, other)
-        loss, _, _ = vb_loss_backward(fp[sample], fq[sample], cfg)
+                            [params[f"enc.b{i}"] for i in layers])
+        fp, fq = (encoder_forward(enc, plan, x)[0][sample] for x in inputs)
+        loss, _, _ = vb_loss_backward(fp, fq, cfg)
         return loss
 
-    _, grads = pair_loss_and_grads(state.encoder, cloud, other, sample, cfg)
-    errors = gradient_check(loss_fn, state.param_dict(), grads, rng=rng)
+    _, grads = pair_loss_and_grads(state.encoder, *views, sample, cfg, neighbors)
+    errors = gradient_check(loss_fn, state.param_dict(), grads, rng=state.rng)
     worst = max(errors.values())
     passed = worst < GRADCHECK_TOLERANCE
     print(f"{'PASS' if passed else 'FAIL'} max relative error {worst:.3e} "

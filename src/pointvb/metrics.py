@@ -13,7 +13,7 @@ import numpy as np
 from . import nncore
 from .errors import DataError
 from .geometry import voxel_downsample
-from .nncore import encoder_forward
+from .nncore import encoder_forward, encoder_input, plan_rows
 from .pcio import SceneSet
 from .training import TrainConfig, TrainState, set_up_process, to_float32
 
@@ -93,9 +93,11 @@ def predict_scene(state: TrainState, cloud, cfg: TrainConfig,
     may hold a future of the cloud's prepare_scene, waited for here."""
     if state.head is None:
         raise DataError("evaluation requires a classification head")
+    encoder = state.encoder
     voxels, mapping, neighbors = (prepared.result() if prepared is not None else
-                                  prepare_scene(cloud, cfg.voxel_size, state.encoder.knn))
-    features, _ = encoder_forward(state.encoder, voxels, neighbors)
+                                  prepare_scene(cloud, cfg.voxel_size, cfg.knn))
+    plan = plan_rows(neighbors, None, len(encoder.weights), encoder.dtype)
+    features, _ = encoder_forward(encoder, plan, encoder_input(voxels, plan, encoder.dtype))
     logits = features @ state.head.weight + state.head.bias
     return np.argmax(logits, axis=1)[mapping]
 
@@ -108,6 +110,8 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     matrix. Those scenes are scored in order while prepared_scenes builds the
     next ones on one thread per usable core, each waited for in predict_scene.
     """
+    if state.head is None:  # before any scene is prepared
+        raise DataError("evaluation requires a classification head")
     set_up_process()
     state = replace(state)  # scored as a float32 copy; the caller's arrays stay
     to_float32(state)
@@ -122,7 +126,7 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
         raise DataError("no scene carries ground-truth labels")
     cm = ConfusionMatrix.zeros(cfg.num_classes)
     with contextlib.closing(prepared_scenes(
-            [cloud for cloud, _ in scored], cfg.voxel_size, state.encoder.knn)) as ahead:
+            [cloud for cloud, _ in scored], cfg.voxel_size, cfg.knn)) as ahead:
         for (cloud, labels), prepared in zip(scored, ahead):
             predicted = predict_scene(state, cloud, cfg, prepared)
             mask = labels.present_mask

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, NumericError
-from .geometry import knn_indices
+from .geometry import knn_indices  # metrics.prepare_scene calls it by this name
 from .pcio import PointCloud
 
 COLOR_SCALE = 255.0  # encoder input uses colors scaled to [0, 1]
@@ -25,7 +25,7 @@ COLOR_SCALE = 255.0  # encoder input uses colors scaled to [0, 1]
 
 @dataclass
 class EncoderParams:
-    """Weights and biases of the encoder MLP plus the neighbor count k.
+    """Weights and biases of the encoder MLP.
 
     Layer l maps width_in[l] -> width_out[l]; hidden layers are followed by
     ReLU and neighbor-mean concatenation (doubling the width fed to the
@@ -34,7 +34,6 @@ class EncoderParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    knn: int
 
     @property
     def feature_dim(self) -> int:
@@ -77,7 +76,6 @@ def init_encoder(
     rng: np.random.Generator,
     feature_dim: int,
     hidden_widths: tuple[int, ...] = (64, 64),
-    knn: int = 16,
 ) -> EncoderParams:
     """He-initialized encoder of layer_shapes; the linear last layer has gain 1."""
     shapes = layer_shapes(feature_dim, hidden_widths)
@@ -85,7 +83,7 @@ def init_encoder(
     return EncoderParams(
         [rng.normal(0.0, np.sqrt(gain / fan_in), size=(fan_in, width))
          for gain, (fan_in, width) in zip(gains, shapes)],
-        [np.zeros(width) for _, width in shapes], knn)
+        [np.zeros(width) for _, width in shapes])
 
 
 def encoder_params_dict(params: EncoderParams) -> dict[str, np.ndarray]:
@@ -141,7 +139,10 @@ def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
 
 def encoder_input(cloud: PointCloud, plan: RowPlan, dtype=np.float64) -> np.ndarray:
     """The plan's layer-0 rows of the encoder input in dtype: positions and
-    colors scaled to [0, 1]. Every row of the cloud must be finite in dtype."""
+    colors scaled to [0, 1]. The cloud must be the plan's graph's M points,
+    every row finite in dtype."""
+    if len(cloud) != plan.graph[0]:
+        raise DataError(f"graph shape {plan.graph} does not match {len(cloud)} points")
     x = np.concatenate([cloud.positions, cloud.colors / COLOR_SCALE], axis=1)
     with np.errstate(over="ignore"):  # what overflows dtype fails the check
         x = x.astype(dtype, copy=False)
@@ -150,28 +151,13 @@ def encoder_input(cloud: PointCloud, plan: RowPlan, dtype=np.float64) -> np.ndar
     return x if plan.sets[0] is None else x[plan.sets[0]]
 
 
-def encoder_forward(
-    params: EncoderParams,
-    cloud: PointCloud | None,
-    neighbors: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-    plan: RowPlan | None = None,
-    inputs: np.ndarray | None = None,
-) -> tuple[np.ndarray, ForwardTape]:
-    """Per-point features (M, D), or those of the distinct point indices
-    `rows` in their order, plus the tape needed for backprop. Layers compute
-    only what the next reads, as planned by plan_rows from neighbors, the
-    cloud's kNN indices (built when None; k must be smaller than M), or by
-    `plan`; inputs may hold the plan's encoder_input, which stands in for the
-    cloud when that is None."""
-    if plan is None:
-        if neighbors is None:
-            neighbors = knn_indices(cloud.positions, params.knn)
-        plan = plan_rows(neighbors, rows, len(params.weights), params.dtype)
-    graph = (plan.graph[0] if cloud is None else len(cloud), params.knn)
-    if plan.graph != graph:
-        raise DataError(f"graph shape {plan.graph} does not match {graph}")
-    x = encoder_input(cloud, plan, params.dtype) if inputs is None else inputs
+def encoder_forward(params: EncoderParams, plan: RowPlan, inputs: np.ndarray
+                    ) -> tuple[np.ndarray, ForwardTape]:
+    """Features (M, D) of every point, or (len(rows), D) of the distinct
+    point indices `rows` in their order, as plan_rows planned them, plus the
+    tape needed for backprop; inputs is the plan's encoder_input. Layers
+    compute only what the next reads."""
+    x = inputs
     layer_inputs, relu_masks = [], []
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         layer_inputs.append(x)

@@ -18,7 +18,8 @@ import numpy as np
 from .config import TrainConfig
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .geometry import TransformSpec, apply_transform, farthest_point_sampling, \
-    knn_indices, sample_transform
+    sample_transform
+from .geometry import knn_indices  # unused; perfbench/tracer.py traces this name
 from .nncore import (
     EncoderParams,
     encoder_backward,
@@ -64,7 +65,7 @@ class TrainState:
 
 def init_state(cfg: TrainConfig, with_head: bool = False) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
-    encoder = init_encoder(rng, cfg.feature_dim, cfg.hidden_widths, cfg.knn)
+    encoder = init_encoder(rng, cfg.feature_dim, cfg.hidden_widths)
     state = TrainState(encoder, None, {}, 0, rng)
     if with_head:
         attach_head(state, cfg)
@@ -88,8 +89,7 @@ def to_float32(state: TrainState) -> None:
     """Hold state's parameters and momentum buffers in float32, as every phase
     and evaluation does, in new objects: a shallow copy's original keeps its own."""
     f32, enc, head = (lambda a: a.astype(np.float32)), state.encoder, state.head
-    state.encoder = EncoderParams([*map(f32, enc.weights)], [*map(f32, enc.biases)],
-                                  enc.knn)
+    state.encoder = EncoderParams([*map(f32, enc.weights)], [*map(f32, enc.biases)])
     state.head = head and HeadParams(f32(head.weight), f32(head.bias))
     state.momentum_buffers = {name: f32(b) for name, b in state.momentum_buffers.items()}
 
@@ -153,19 +153,18 @@ def pair_loss_and_grads(
     view_q: PointCloud,
     sample: np.ndarray,
     cfg: TrainConfig,
-    neighbors: np.ndarray | None = None,
+    neighbors: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Viewpoint-bottleneck loss of two views at the shared `sample` rows
     and its gradients with respect to every encoder parameter, p's then q's.
 
     cfg gives the loss's off_diagonal_weight and squared_norm. neighbors is
-    the kNN graph both views share, planned once for both; each view builds
-    and plans its own when it is None.
+    the kNN graph of the cloud both views transform, planned once for both.
     """
-    plan = None if neighbors is None else \
-        plan_rows(neighbors, sample, len(encoder.weights), encoder.dtype)
-    feats_p, tape_p = encoder_forward(encoder, view_p, rows=sample, plan=plan)
-    feats_q, tape_q = encoder_forward(encoder, view_q, rows=sample, plan=plan)
+    plan = plan_rows(neighbors, sample, len(encoder.weights), encoder.dtype)
+    (feats_p, tape_p), (feats_q, tape_q) = (
+        encoder_forward(encoder, plan, encoder_input(view, plan, encoder.dtype))
+        for view in (view_p, view_q))
     loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, cfg)
     grads = encoder_backward(tape_p, grad_p)
     for name, g in encoder_backward(tape_q, grad_q).items():
@@ -192,22 +191,21 @@ def pretrain_grads(
     state: TrainState,
     cloud: PointCloud,
     cfg: TrainConfig,
-    neighbors: np.ndarray | None = None,
+    neighbors: np.ndarray,
     draws: tuple[TransformSpec, TransformSpec, int] | None = None,
     sample: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and parameter gradients for one cloud, without updating.
 
-    Two augmented views share one farthest-point index set computed on the
-    untransformed cloud, so correlated rows describe the same points. draws
-    (both views' transforms and the FPS start) come from state.rng when
-    None; sample, pretrain_sample of that start, is computed when None.
+    Two augmented views share the cloud's kNN graph neighbors and one
+    farthest-point index set computed on the untransformed cloud, so
+    correlated rows describe the same points. draws (both views' transforms
+    and the FPS start) come from state.rng when None; sample,
+    pretrain_sample of that start, is computed when None.
     """
     t_p, t_q, start = draws or pretrain_draws(state.rng, [cloud])[1]
     view_p = apply_transform(cloud, t_p)
     view_q = apply_transform(cloud, t_q)
-    if neighbors is None:
-        neighbors = knn_indices(cloud.positions, cfg.knn)
     if sample is None:
         sample = pretrain_sample(cloud, cfg, start)
     loss, grads = pair_loss_and_grads(state.encoder, view_p, view_q, sample,
@@ -249,15 +247,13 @@ def masked_cross_entropy(
 
 
 def finetune_plan(encoder: EncoderParams, cloud: PointCloud, labels: SparseLabelSet,
-                  neighbors: np.ndarray | None = None) -> tuple:
+                  neighbors: np.ndarray) -> tuple:
     """What one scene's fine-tune steps share: the plan of its labeled voxels'
-    receptive field, its encoder_input and their labels. DataError if the
-    scene has no labeled voxel."""
+    receptive field over its kNN graph neighbors, its encoder_input and their
+    labels. DataError if the scene has no labeled voxel."""
     rows = np.flatnonzero(labels.present_mask)
     if len(rows) == 0:
         raise DataError("fine-tune scene has no labeled voxel")
-    if neighbors is None:
-        neighbors = knn_indices(cloud.positions, encoder.knn)
     plan = plan_rows(neighbors, rows, len(encoder.weights), encoder.dtype)
     return plan, encoder_input(cloud, plan, encoder.dtype), \
         SparseLabelSet(labels.labels[rows], labels.num_classes)
@@ -270,7 +266,7 @@ def finetune_grads(state: TrainState, planned: tuple
     if state.head is None:
         raise DataError("finetune requires a classification head")
     plan, inputs, labeled = planned
-    features, tape = encoder_forward(state.encoder, None, plan=plan, inputs=inputs)
+    features, tape = encoder_forward(state.encoder, plan, inputs)
     logits = features @ state.head.weight + state.head.bias
     loss, dlogits = masked_cross_entropy(logits, labeled)
     if not np.isfinite(loss):
@@ -316,7 +312,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, path: str | Path) -> No
         "config": {**asdict(cfg), "hidden_widths": list(cfg.hidden_widths)},
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
-        "encoder_knn": state.encoder.knn,
+        "encoder_knn": cfg.knn,
         "tensors": [[name, list(tensors[name].shape)] for name in names],
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -379,11 +375,8 @@ def load_checkpoint(path: str | Path, expect: TrainConfig | None = None
         if meta["encoder_knn"] != cfg.knn:
             raise ValueError(f"encoder_knn {meta['encoder_knn']!r} is not knn {cfg.knn}")
         layers = len(cfg.hidden_widths) + 1
-        encoder = EncoderParams(
-            [tensors[f"enc.w{i}"] for i in range(layers)],
-            [tensors[f"enc.b{i}"] for i in range(layers)],
-            meta["encoder_knn"],
-        )
+        encoder = EncoderParams([tensors[f"enc.w{i}"] for i in range(layers)],
+                                [tensors[f"enc.b{i}"] for i in range(layers)])
         head = HeadParams(tensors["head.w"], tensors["head.b"]) \
             if "head.w" in tensors else None
         buffers = {name[len("momentum."):]: tensor for name, tensor in tensors.items()

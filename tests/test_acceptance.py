@@ -25,11 +25,18 @@ from pointvb.experiment import (
 from pointvb.geometry import (
     apply_transform,
     farthest_point_sampling,
+    knn_indices,
     sample_transform,
     voxel_downsample,
 )
 from pointvb.metrics import ConfusionMatrix, evaluate, miou
-from pointvb.nncore import EncoderParams, encoder_forward, init_encoder
+from pointvb.nncore import (
+    EncoderParams,
+    encoder_forward,
+    encoder_input,
+    init_encoder,
+    plan_rows,
+)
 from pointvb.pcio import PointCloud, SparseLabelSet, generate_synthetic_scene
 from pointvb.training import (
     TrainConfig,
@@ -93,10 +100,12 @@ def heldout_views(state, num_scenes=4):
         m = len(voxels)
         t_p = sample_transform(rng, m)
         t_q = sample_transform(rng, m)
-        feats_p, _ = encoder_forward(state.encoder,
-                                     apply_transform(voxels, t_p))
-        feats_q, _ = encoder_forward(state.encoder,
-                                     apply_transform(voxels, t_q))
+        # both views over the scene's one kNN graph, as pretraining pairs them
+        plan = plan_rows(knn_indices(voxels.positions, 16), None,
+                         len(state.encoder.weights), state.encoder.dtype)
+        feats_p, feats_q = (encoder_forward(state.encoder, plan, encoder_input(
+            apply_transform(voxels, t), plan, state.encoder.dtype))[0]
+            for t in (t_p, t_q))
         sample = farthest_point_sampling(voxels, 256, 0)
         pairs.append((feats_p[sample], feats_q[sample]))
     return pairs
@@ -141,22 +150,25 @@ class TestCriterion1GradientFidelity:
         view_p = apply_transform(cloud, sample_transform(rng, len(cloud)))
         view_q = apply_transform(cloud, sample_transform(rng, len(cloud)))
         sample = farthest_point_sampling(cloud, 16, 0)
-        encoder = init_encoder(rng, 8, (8,), 4)
+        encoder = init_encoder(rng, 8, (8,))
         vb_cfg = TrainConfig(off_diagonal_weight=0.1)
+        # both views over the cloud's one kNN graph, as pretraining pairs them;
+        # the reference computes every row of it
+        nbrs = knn_indices(cloud.positions, 4)
+        plan = plan_rows(nbrs, None, 2)
+        inputs = [encoder_input(view, plan) for view in (view_p, view_q)]
 
         def loss_fn(params):
             probe = EncoderParams(
                 [params[f"enc.w{i}"] for i in range(2)],
                 [params.get(f"enc.b{i}", encoder.biases[i]) for i in range(2)],
-                encoder.knn,
             )
-            fp, _ = encoder_forward(probe, view_p)
-            fq, _ = encoder_forward(probe, view_q)
-            loss, _, _ = vb_loss_backward(fp[sample], fq[sample], vb_cfg)
+            fp, fq = (encoder_forward(probe, plan, x)[0][sample] for x in inputs)
+            loss, _, _ = vb_loss_backward(fp, fq, vb_cfg)
             return loss
 
         _, grads = pair_loss_and_grads(encoder, view_p, view_q, sample,
-                                       vb_cfg)
+                                       vb_cfg, nbrs)
         params = {f"enc.w{i}": w for i, w in enumerate(encoder.weights)}
         params |= {f"enc.b{i}": b for i, b in enumerate(encoder.biases)}
         # column mean-centering makes the loss exactly invariant to the
@@ -182,7 +194,8 @@ class TestCriterion1GradientFidelity:
             seed=seed, num_classes=2,
         )
         state = init_state(cfg, with_head=True)
-        planned = finetune_plan(state.encoder, cloud, labels)
+        planned = finetune_plan(state.encoder, cloud, labels,
+                                knn_indices(cloud.positions, cfg.knn))
         _, grads = finetune_grads(state, planned)
 
         def loss_fn(params):
@@ -494,10 +507,11 @@ class TestCriterion8DeterminismPersistence:
             off_diagonal_weight=1 / 16, fps_count=32, feature_dim=16,
             hidden_widths=(16,), knn=8, seed=0,
         )
+        nbrs = knn_indices(cloud.positions, cfg.knn)
 
         def steps(state, cfg, count):
             return [_accumulated_step(
-                state, cfg, lambda: pretrain_grads(state, cloud, cfg))
+                state, cfg, lambda: pretrain_grads(state, cloud, cfg, nbrs))
                 for _ in range(count)]
 
         straight = steps(init_state(cfg), cfg, 10)

@@ -216,6 +216,19 @@ class TestEvaluate:
             evaluate(init_state(cfg, with_head=True), scenes, cfg)
         assert calls == []
 
+    def test_headless_state_raises_before_any_scene_is_prepared(self, monkeypatch):
+        cfg = small_cfg()
+        scenes = SceneSet(
+            [generate_synthetic_scene(4 + i, 256, 4) for i in range(3)], split="val",
+            scene_ids=["v0", "v1", "v2"],
+        )
+        calls, prepare = [], metrics.prepare_scene
+        monkeypatch.setattr(metrics, "prepare_scene",
+                            lambda *a: calls.append(a) or prepare(*a))
+        with pytest.raises(DataError, match="requires a classification head"):
+            evaluate(init_state(cfg), scenes, cfg)
+        assert calls == []
+
 
 class TestLookAhead:
     """evaluate scores its scenes in order on the calling thread while

@@ -27,16 +27,22 @@ def params_of(encoder):
     return encoder_params_dict(encoder)
 
 
-def encoder_loss_fn(cloud, upstream, template, rows=None):
+def forward(enc, cloud, neighbors, rows=None):
+    """The encoder's features of the cloud's rows (None: all) over its kNN
+    graph neighbors, and the tape."""
+    plan = plan_rows(neighbors, rows, len(enc.weights), enc.dtype)
+    return encoder_forward(enc, plan, encoder_input(cloud, plan, enc.dtype))
+
+
+def encoder_loss_fn(cloud, nbrs, upstream, template, rows=None):
     """<upstream, features> as a function of the parameter dict."""
 
     def loss_fn(params):
         enc = EncoderParams(
             [params[f"enc.w{i}"] for i in range(len(template.weights))],
             [params[f"enc.b{i}"] for i in range(len(template.biases))],
-            template.knn,
         )
-        features, _ = encoder_forward(enc, cloud, rows=rows)
+        features, _ = forward(enc, cloud, nbrs, rows)
         return float(np.sum(upstream * features))
 
     return loss_fn
@@ -45,53 +51,36 @@ def encoder_loss_fn(cloud, upstream, template, rows=None):
 class TestEncoderForward:
     def test_zero_network_single_point(self):
         cloud = PointCloud(np.zeros((1, 3)), np.zeros((1, 3)))
-        enc = init_encoder(np.random.default_rng(0), 4, (8,), knn=0)
+        enc = init_encoder(np.random.default_rng(0), 4, (8,))
         for w in enc.weights:
             w[:] = 0.0
-        features, _ = encoder_forward(enc, cloud)
+        features, _ = forward(enc, cloud, knn_indices(cloud.positions, 0))
         np.testing.assert_array_equal(features, np.zeros((1, 4)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
         cloud = random_cloud(rng, 40)
-        enc = init_encoder(rng, 8, (16,), knn=5)
-        features, _ = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 8, (16,))
+        features, _ = forward(enc, cloud, knn_indices(cloud.positions, 5))
         perm = rng.permutation(40)
         permuted = PointCloud(cloud.positions[perm], cloud.colors[perm])
-        permuted_features, _ = encoder_forward(enc, permuted)
+        permuted_features, _ = forward(enc, permuted, knn_indices(permuted.positions, 5))
         np.testing.assert_allclose(permuted_features, features[perm], atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         cloud = random_cloud(rng, 30)
-        enc = init_encoder(rng, 8, (16, 16), knn=4)
-        a, _ = encoder_forward(enc, cloud)
-        b, _ = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 8, (16, 16))
+        a, _ = forward(enc, cloud, knn_indices(cloud.positions, 4))
+        b, _ = forward(enc, cloud, knn_indices(cloud.positions, 4))
         np.testing.assert_array_equal(a, b)
-
-    def test_k_not_below_m(self):
-        rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 4)
-        enc = init_encoder(rng, 8, (16,), knn=4)
-        with pytest.raises(DataError):
-            encoder_forward(enc, cloud)
-
-    def test_precomputed_neighbors_match(self):
-        rng = np.random.default_rng(4)
-        cloud = random_cloud(rng, 25)
-        enc = init_encoder(rng, 8, (16,), knn=6)
-        nbrs = knn_indices(cloud.positions, 6)
-        a, _ = encoder_forward(enc, cloud)
-        b, _ = encoder_forward(enc, cloud, nbrs)
-        np.testing.assert_array_equal(a, b)
-
 
     def test_tape_keeps_boolean_relu_masks(self):
         """The tape holds each hidden layer's z > 0 as bool, not z."""
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 30)
-        enc = init_encoder(rng, 8, (16, 12), knn=4)
-        _, tape = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 8, (16, 12))
+        _, tape = forward(enc, cloud, knn_indices(cloud.positions, 4))
         assert [(m.dtype, m.shape) for m in tape.relu_masks] == \
             [(np.dtype(bool), (30, 16)), (np.dtype(bool), (30, 12))]
         for layer, mask in enumerate(tape.relu_masks):
@@ -103,8 +92,8 @@ class TestEncoderBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 20)
-        enc = init_encoder(rng, 8, (16,), knn=3)
-        _, tape = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 8, (16,))
+        _, tape = forward(enc, cloud, knn_indices(cloud.positions, 3))
         grads = encoder_backward(tape, np.zeros((20, 8)))
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -113,8 +102,8 @@ class TestEncoderBackward:
         # no hidden layers: features = X W + b, so dW = X^T upstream
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 10)
-        enc = init_encoder(rng, 2, (), knn=0)
-        features, tape = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 2, ())
+        features, tape = forward(enc, cloud, knn_indices(cloud.positions, 0))
         upstream = rng.normal(size=(10, 2))
         grads = encoder_backward(tape, upstream)
         np.testing.assert_allclose(
@@ -126,12 +115,13 @@ class TestEncoderBackward:
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         cloud = random_cloud(rng, 16)
-        enc = init_encoder(rng, 6, (8, 8), knn=4)
-        features, tape = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 6, (8, 8))
+        nbrs = knn_indices(cloud.positions, 4)
+        features, tape = forward(enc, cloud, nbrs)
         upstream = rng.normal(size=features.shape)
         analytic = encoder_backward(tape, upstream)
         errors = gradient_check(
-            encoder_loss_fn(cloud, upstream, enc), params_of(enc), analytic,
+            encoder_loss_fn(cloud, nbrs, upstream, enc), params_of(enc), analytic,
             rng=rng,
         )
         # central differences straddle ReLU kinks on occasion, so the
@@ -141,8 +131,8 @@ class TestEncoderBackward:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 12)
-        enc = init_encoder(rng, 4, (8,), knn=2)
-        _, tape = encoder_forward(enc, cloud)
+        enc = init_encoder(rng, 4, (8,))
+        _, tape = forward(enc, cloud, knn_indices(cloud.positions, 2))
         with pytest.raises(DataError):
             encoder_backward(tape, np.zeros((12, 5)))
 
@@ -152,7 +142,7 @@ def acceptance_scene(seed):
     an encoder of the acceptance shapes: widths (64, 64), D = 32, k = 16."""
     cloud, _ = generate_synthetic_scene(seed, 2048, 4)
     voxels = voxel_downsample(cloud, 0.05)[0]
-    enc = init_encoder(np.random.default_rng(seed), 32, (64, 64), knn=16)
+    enc = init_encoder(np.random.default_rng(seed), 32, (64, 64))
     return voxels, knn_indices(voxels.positions, 16), enc
 
 
@@ -179,13 +169,13 @@ class TestRestrictedRows:
     def test_rows_equal_full_forward_at_acceptance_shapes(self, seed):
         voxels, nbrs, enc = acceptance_scene(seed)
         m = len(voxels)
-        full, _ = encoder_forward(enc, voxels, nbrs)
+        full, _ = forward(enc, voxels, nbrs)
         rng = np.random.default_rng(seed)
         # one row goes through NumPy's matrix-vector path, whose sums may
         # differ from the matrix product's in the last bit: sizes start at 2
         for size in (2, 20, 256, int(rng.integers(2, m)), m):
             rows = rng.choice(m, size, replace=False)
-            features, _ = encoder_forward(enc, voxels, nbrs, rows)
+            features, _ = forward(enc, voxels, nbrs, rows)
             np.testing.assert_array_equal(features, full[rows])
 
     @pytest.mark.parametrize("widths, knn", [((8, 8), 4), ((8,), 0), ((), 3)])
@@ -193,13 +183,14 @@ class TestRestrictedRows:
     def test_backward_matches_finite_differences(self, widths, knn, seed):
         rng = np.random.default_rng(20 + seed)
         cloud = random_cloud(rng, 24)
-        enc = init_encoder(rng, 5, widths, knn=knn)
+        enc = init_encoder(rng, 5, widths)
+        nbrs = knn_indices(cloud.positions, knn)
         rows = rng.choice(24, int(rng.integers(1, 12)), replace=False)
-        features, tape = encoder_forward(enc, cloud, rows=rows)
+        features, tape = forward(enc, cloud, nbrs, rows)
         assert features.shape == (len(rows), 5)
         upstream = rng.normal(size=features.shape)
         errors = gradient_check(
-            encoder_loss_fn(cloud, upstream, enc, rows), params_of(enc),
+            encoder_loss_fn(cloud, nbrs, upstream, enc, rows), params_of(enc),
             encoder_backward(tape, upstream), rng=rng,
         )
         assert max(errors.values()) < 1e-5, errors
@@ -208,20 +199,21 @@ class TestRestrictedRows:
     def test_rows_must_be_distinct_cloud_indices(self, rows):
         rng = np.random.default_rng(13)
         cloud = random_cloud(rng, 20)
-        enc = init_encoder(rng, 4, (8,), knn=3)
+        enc = init_encoder(rng, 4, (8,))
         with pytest.raises(DataError):
-            encoder_forward(enc, cloud, rows=np.array(rows, dtype=np.int64))
+            forward(enc, cloud, knn_indices(cloud.positions, 3),
+                    np.array(rows, dtype=np.int64))
 
     def test_nan_outside_receptive_field_raises(self):
         rng = np.random.default_rng(14)
         cloud = random_cloud(rng, 200)
-        enc = init_encoder(rng, 4, (8,), knn=3)
-        rows = np.array([0, 1])
-        _, tape = encoder_forward(enc, cloud, rows=rows)
+        enc = init_encoder(rng, 4, (8,))
+        nbrs, rows = knn_indices(cloud.positions, 3), np.array([0, 1])
+        _, tape = forward(enc, cloud, nbrs, rows)
         outside = np.setdiff1d(np.arange(200), tape.sets[0])[0]
         cloud.colors[outside, 1] = np.nan
         with pytest.raises(NumericError):
-            encoder_forward(enc, cloud, rows=rows)
+            forward(enc, cloud, nbrs, rows)
 
 
 class TestRowPlan:
@@ -230,10 +222,10 @@ class TestRowPlan:
         rows = np.random.default_rng(4).choice(len(voxels), 20, replace=False)
         plan = plan_rows(nbrs, rows, len(enc.weights))
         inputs = encoder_input(voxels, plan)
-        fresh, fresh_tape = encoder_forward(enc, voxels, nbrs, rows)
+        fresh, fresh_tape = forward(enc, voxels, nbrs, rows)
         upstream = np.random.default_rng(5).normal(size=fresh.shape)
-        for cloud in (voxels, None):  # the inputs stand in for the cloud
-            features, tape = encoder_forward(enc, cloud, plan=plan, inputs=inputs)
+        for _ in range(2):  # nothing a forward does changes the plan or inputs
+            features, tape = encoder_forward(enc, plan, inputs)
             np.testing.assert_array_equal(features, fresh)
             grads = encoder_backward(tape, upstream)
             for name, g in encoder_backward(fresh_tape, upstream).items():
@@ -248,15 +240,15 @@ class TestRowPlan:
         np.testing.assert_array_equal(plan.poolings[0].toarray(),
                                       pooling_operator(nbrs).toarray())
 
-    @pytest.mark.parametrize("points, knn", [(30, 3), (20, 4)])
+    @pytest.mark.parametrize("points, knn", [(30, 3)])
     def test_plan_of_another_graph_raises(self, points, knn):
+        """encoder_input refuses a cloud whose point count is not the plan's graph's."""
         rng = np.random.default_rng(15)
-        enc = init_encoder(rng, 4, (8,), knn=3)
         cloud = random_cloud(rng, 20)
         other = knn_indices(random_cloud(rng, points).positions, knn)
-        plan = plan_rows(other, np.array([0, 1]), len(enc.weights))
+        plan = plan_rows(other, np.array([0, 1]), 2)
         with pytest.raises(DataError, match="graph shape"):
-            encoder_forward(enc, cloud, plan=plan)
+            encoder_input(cloud, plan)
 
 
 class TestGradientCheck:

@@ -15,7 +15,7 @@ import pytest
 
 from pointvb import training
 from pointvb.errors import CheckpointError, ConfigError, DataError, NumericError
-from pointvb import experiment, metrics, nncore
+from pointvb import experiment, geometry, metrics, nncore
 from pointvb.config import default_config, train_config
 from pointvb.experiment import (
     VoxelizedScenes,
@@ -33,7 +33,13 @@ from pointvb.geometry import (
     vote_labels,
     voxel_downsample,
 )
-from pointvb.nncore import encoder_backward, encoder_forward, gradient_check
+from pointvb.nncore import (
+    encoder_backward,
+    encoder_forward,
+    encoder_input,
+    gradient_check,
+    plan_rows,
+)
 from pointvb.pcio import (
     PointCloud,
     SparseLabelSet,
@@ -61,16 +67,28 @@ from pointvb.training import (
 )
 
 
+def graph(cloud, cfg):
+    """The cloud's kNN graph at the config's k."""
+    return knn_indices(cloud.positions, cfg.knn)
+
+
+def forward(encoder, cloud, neighbors, rows=None):
+    """The encoder's features of the cloud's rows (None: all) over its kNN
+    graph neighbors, and the tape."""
+    plan = plan_rows(neighbors, rows, len(encoder.weights), encoder.dtype)
+    return encoder_forward(encoder, plan, encoder_input(cloud, plan, encoder.dtype))
+
+
 def pretrain_step(state, cloud, cfg):
     """One optimizer step on a single cloud."""
     return _accumulated_step(state, cfg,
-                             lambda: pretrain_grads(state, cloud, cfg))
+                             lambda: pretrain_grads(state, cloud, cfg, graph(cloud, cfg)))
 
 
 def finetune_step(state, cloud, labels, cfg):
     """One optimizer step on a single labeled cloud."""
     return _accumulated_step(state, cfg, lambda: finetune_grads(
-        state, finetune_plan(state.encoder, cloud, labels)))
+        state, finetune_plan(state.encoder, cloud, labels, graph(cloud, cfg))))
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -270,7 +288,7 @@ class TestPretrain:
         cloud, _ = tiny_scene()
         cfg = tiny_config()
         state = init_state(cfg, with_head=True)
-        _, grads = pretrain_grads(state, cloud, cfg)
+        _, grads = pretrain_grads(state, cloud, cfg, graph(cloud, cfg))
         np.testing.assert_array_equal(grads["head.w"], 0.0)
         np.testing.assert_array_equal(grads["head.b"], 0.0)
 
@@ -280,14 +298,14 @@ class TestPretrain:
                           knn=4)
         state = init_state(cfg)
         frozen = copy.deepcopy(state)
-        _, grads = pretrain_grads(state, cloud, cfg)
+        _, grads = pretrain_grads(state, cloud, cfg, graph(cloud, cfg))
 
         def loss_fn(params):
             probe = copy.deepcopy(frozen)
             for i in range(len(probe.encoder.weights)):
                 probe.encoder.weights[i] = params[f"enc.w{i}"]
                 probe.encoder.biases[i] = params[f"enc.b{i}"]
-            loss, _ = pretrain_grads(probe, cloud, cfg)
+            loss, _ = pretrain_grads(probe, cloud, cfg, graph(cloud, cfg))
             return loss
 
         errors = gradient_check(
@@ -305,7 +323,7 @@ class TestFinetune:
         state = init_state(cfg, with_head=True)
         for _ in range(cfg.iterations):
             finetune_step(state, cloud, labels, cfg)
-        feats, _ = encoder_forward(state.encoder, cloud)
+        feats, _ = forward(state.encoder, cloud, graph(cloud, cfg))
         predicted = np.argmax(feats @ state.head.weight + state.head.bias,
                               axis=1)
         accuracy = np.mean(predicted == labels.labels)
@@ -332,7 +350,8 @@ class TestFinetune:
         cfg = tiny_config(phase="finetune")
         state = init_state(cfg)
         with pytest.raises(DataError):
-            finetune_grads(state, finetune_plan(state.encoder, cloud, labels))
+            finetune_grads(state, finetune_plan(state.encoder, cloud, labels,
+                                                graph(cloud, cfg)))
 
     def test_deterministic_loss_sequence(self):
         cloud, labels = tiny_scene()
@@ -350,7 +369,7 @@ class TestFinetune:
         cfg = tiny_config(phase="finetune", feature_dim=6, hidden_widths=(8,),
                           knn=4)
         state = init_state(cfg, with_head=True)
-        planned = finetune_plan(state.encoder, cloud, labels)
+        planned = finetune_plan(state.encoder, cloud, labels, graph(cloud, cfg))
         _, grads = finetune_grads(state, planned)
 
         def loss_fn(params):
@@ -370,11 +389,11 @@ class TestFinetune:
 
 
 def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
-                                   neighbors=None):
+                                   neighbors):
     """pair_loss_and_grads through all-rows forwards and upstreams that are
     zero off the sample."""
-    feats_p, tape_p = encoder_forward(encoder, view_p, neighbors)
-    feats_q, tape_q = encoder_forward(encoder, view_q, neighbors)
+    feats_p, tape_p = forward(encoder, view_p, neighbors)
+    feats_q, tape_q = forward(encoder, view_q, neighbors)
     loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
                                             vb_cfg)
     grads = None
@@ -393,7 +412,7 @@ def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
 def full_graph_finetune_grads(state, cloud, labels, neighbors):
     """finetune_grads through an all-rows forward; the head's logits and
     gradients span every row."""
-    features, tape = encoder_forward(state.encoder, cloud, neighbors)
+    features, tape = forward(state.encoder, cloud, neighbors)
     logits = features @ state.head.weight + state.head.bias
     loss, dlogits = masked_cross_entropy(logits, labels)
     grads = encoder_backward(tape, dlogits @ state.head.weight.T)
@@ -474,7 +493,7 @@ class TestFloat32AgainstFloat64:
         to_float32(narrow)
         results = []
         for state in (narrow, wide):
-            features, _ = encoder_forward(state.encoder, view_p, neighbors)
+            features, _ = forward(state.encoder, view_p, neighbors)
             results.append((features, pair_loss_and_grads(
                 state.encoder, view_p, view_q, sample, cfg, neighbors),
                 finetune_grads(state, finetune_plan(state.encoder, cloud, labels,
@@ -627,6 +646,41 @@ class TestVoxelizedScenes:
         assert len(clouds) == 3 and alive == [0]
 
 
+class TestOneGraphPerScene:
+    """metrics.prepare_scene builds every kNN graph, one a scene, with the
+    config's knn; nothing else in a run builds one."""
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        """(positions digest, k) of every knn_indices call, under each name
+        the package could call it by."""
+        builds, build = [], knn_indices
+        for module in (geometry, nncore, training, experiment):
+            monkeypatch.setattr(module, "knn_indices", lambda positions, k: builds.append(
+                (positions.tobytes(), k)) or build(positions, k))
+        return builds
+
+    def test_run_builds_each_scene_graph_once(self, tmp_path, monkeypatch):
+        values = {**default_config(), "num_scenes": 3, "val_scenes": 2,
+                  "points_per_scene": 256, "feature_dim": 8, "hidden_widths": (16,),
+                  "knn": 5, "fps_count": 32, "pretrain_steps": 3,
+                  "finetune_steps": 3, "labels_per_scene": 20, "batch_size": 2}
+        builds = self.counting_builds(monkeypatch)
+        run_experiment(values, tmp_path)
+        assert len(builds) == len({positions for positions, _ in builds}) == 3 + 2
+        assert {k for _, k in builds} == {5}
+
+    def test_evaluate_prepares_with_the_config_knn(self, monkeypatch):
+        """The state's origin does not choose k: a model of a k = 4 config,
+        scored under a k = 6 config, is scored over k = 6 graphs."""
+        cfg = tiny_config(phase="finetune", knn=4)
+        state = init_state(cfg, with_head=True)
+        scenes = make_synthetic_dataset(2, 2, 256, 4, split="val")
+        builds = self.counting_builds(monkeypatch)
+        metrics.evaluate(state, scenes, replace(cfg, knn=6))
+        assert [k for _, k in builds] == [6, 6]
+
+
 class TestLabelVotes:
     """Fine-tuning votes each scene's point labels once, before its first
     step; preparing the scenes and pretraining vote none."""
@@ -692,7 +746,7 @@ class TestPairThreads:
         sample = farthest_point_sampling(cloud, cfg.fps_count, 0)
         with pytest.raises(NumericError, match="non-finite encoder input"):
             pair_loss_and_grads(encoder, views["p"], views["q"], sample, cfg,
-                                knn_indices(cloud.positions, cfg.knn))
+                                graph(cloud, cfg))
 
 
 class TestPlannedSteps:
@@ -751,7 +805,7 @@ class TestPlannedSteps:
         loss, grads = pair_loss_and_grads(encoder, *views, sample,
                                           cfg, nbrs)
         assert len(plans) == 1
-        (fp, tape_p), (fq, tape_q) = [encoder_forward(encoder, view, nbrs, sample)
+        (fp, tape_p), (fq, tape_q) = [forward(encoder, view, nbrs, sample)
                                       for view in views]
         expected, grad_p, grad_q = vb_loss_backward(fp, fq, cfg)
         assert loss == expected
