@@ -141,10 +141,10 @@ def _cmd_gradcheck(args) -> int:
 
     _, grads = pair_loss_and_grads(state.encoder, *views, sample, cfg, neighbors)
     errors = gradient_check(loss_fn, state.param_dict(), grads, rng=state.rng)
-    worst = max(errors.values())
-    passed = worst < GRADCHECK_TOLERANCE
-    print(f"{'PASS' if passed else 'FAIL'} max relative error {worst:.3e} "
-          f"(tolerance {GRADCHECK_TOLERANCE})")
+    worst = max(errors, key=errors.get)
+    passed = errors[worst] < GRADCHECK_TOLERANCE
+    print(f"{'PASS' if passed else 'FAIL'} max relative error {errors[worst]:.3e} "
+          f"at {worst} (tolerance {GRADCHECK_TOLERANCE})")
     return 0 if passed else 3
 
 

@@ -35,7 +35,7 @@ def sample_transform(rng: np.random.Generator, num_points: int) -> TransformSpec
 
 
 def apply_transform(cloud: PointCloud, t: TransformSpec) -> PointCloud:
-    """Rotate about z, mirror per flag, add clamped color jitter."""
+    """Rotate about z, mirror per flag, add color jitter (PointCloud clamps it)."""
     if t.color_jitter.shape != cloud.colors.shape:
         raise DataError(
             f"jitter shape {t.color_jitter.shape} does not match cloud "
@@ -47,8 +47,7 @@ def apply_transform(cloud: PointCloud, t: TransformSpec) -> PointCloud:
     for axis, flag in enumerate(t.mirror_flags):
         if flag:
             positions[:, axis] = -positions[:, axis]
-    colors = np.clip(cloud.colors + t.color_jitter, 0.0, 255.0)
-    return PointCloud(positions, colors)
+    return PointCloud(positions, cloud.colors + t.color_jitter)
 
 
 def farthest_point_sampling(cloud: PointCloud, h: int, start: int) -> np.ndarray:

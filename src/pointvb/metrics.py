@@ -87,15 +87,13 @@ def prepared_scenes(clouds, voxel_size: float, knn: int) -> Iterator[Future]:
         yield from ahead
 
 
-def predict_scene(state: TrainState, cloud, cfg: TrainConfig,
-                  prepared: Future | None = None) -> np.ndarray:
-    """Per-original-point class predictions via the voxel pipeline; prepared
-    may hold a future of the cloud's prepare_scene, waited for here."""
+def predict_scene(state: TrainState, prepared: Future) -> np.ndarray:
+    """Per-original-point class predictions via the voxel pipeline, from a
+    future of the cloud's prepare_scene, waited for here."""
     if state.head is None:
         raise DataError("evaluation requires a classification head")
     encoder = state.encoder
-    voxels, mapping, neighbors = (prepared.result() if prepared is not None else
-                                  prepare_scene(cloud, cfg.voxel_size, cfg.knn))
+    voxels, mapping, neighbors = prepared.result()
     plan = plan_rows(neighbors, None, len(encoder.weights), encoder.dtype)
     features, _ = encoder_forward(encoder, plan, encoder_input(voxels, plan, encoder.dtype))
     logits = features @ state.head.weight + state.head.bias
@@ -127,8 +125,8 @@ def evaluate(state: TrainState, scenes: SceneSet, cfg: TrainConfig) -> RunReport
     cm = ConfusionMatrix.zeros(cfg.num_classes)
     with contextlib.closing(prepared_scenes(
             [cloud for cloud, _ in scored], cfg.voxel_size, cfg.knn)) as ahead:
-        for (cloud, labels), prepared in zip(scored, ahead):
-            predicted = predict_scene(state, cloud, cfg, prepared)
+        for (_, labels), prepared in zip(scored, ahead):
+            predicted = predict_scene(state, prepared)
             mask = labels.present_mask
             cm.add(labels.labels[mask], predicted[mask])
     per_class, mean = miou(cm)

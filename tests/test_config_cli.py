@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from pointvb import experiment, metrics, pcio, training
 from pointvb.cli import main
@@ -346,20 +348,32 @@ class TestCli:
                 written = sorted((out / "data" / split).glob(f"scene_*{suffix}"))
                 assert len(written) == count, (split, suffix)
 
-    def test_gradcheck_passes(self, capsys):
-        assert main(["gradcheck"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    # every seed: the last bias's true gradient is exactly zero (the loss
+    # centers each feature column), and so is a dead unit's
+    @pytest.mark.parametrize("seed", range(25))
+    def test_gradcheck_passes(self, seed, capsys):
+        assert main(["gradcheck", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS max relative error")
+        assert re.search(r" at enc\.[wb]\d+ \(tolerance 1e-05\)$", out.strip()), out
 
-    def test_gradcheck_fails_on_wrong_gradients(self, capsys, monkeypatch):
-        def scaled(*args):
+    @pytest.mark.parametrize("wrong, tensor", [
+        (lambda name, g: 1.01 * g, None),
+        (lambda name, g: 0.0 * g if name == "enc.w0" else g, "enc.w0"),
+    ], ids=["scaled", "zeroed"])
+    def test_gradcheck_fails_on_wrong_gradients(self, wrong, tensor, capsys,
+                                                monkeypatch):
+        def wrong_grads(*args):
             loss, grads = pair_loss_and_grads(*args)
-            return loss, {name: 1.01 * g for name, g in grads.items()}
+            return loss, {name: wrong(name, g) for name, g in grads.items()}
 
-        monkeypatch.setattr("pointvb.cli.pair_loss_and_grads", scaled)
+        monkeypatch.setattr("pointvb.cli.pair_loss_and_grads", wrong_grads)
         assert main(["gradcheck"]) == 3
         out = capsys.readouterr().out
         assert out.startswith("FAIL max relative error")
         assert "(tolerance 1e-05)" in out
+        if tensor is not None:  # the zeroed tensor scores about 1.0
+            assert f"1.000e+00 at {tensor} " in out
 
     def test_seed_override_changes_results(self, tiny_config_file, tmp_path):
         a = tmp_path / "a"
@@ -843,6 +857,37 @@ class TestChildProcess:
                                         OPENBLAS_NUM_THREADS=threads)
             assert code == 0, err
         for name in ("trace.csv", "final.ckpt", "report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+                name
+
+    def test_scipy_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        """SciPy bundles an OpenBLAS of its own, loaded with scipy.linalg, that
+        set_up_process leaves alone. No hot-path call reaches it: the CSR
+        products of scipy.sparse._sparsetools and cKDTree link no BLAS. So a
+        short pretrain phase writes the same trace and weights with that
+        library at 1 and at 2 threads, set through its own setter."""
+        libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
+        lib = next(libs.glob("libscipy_openblas-*.so"), None)
+        if lib is None or not hasattr(ctypes.CDLL(str(lib)),
+                                      "scipy_openblas_set_num_threads"):
+            pytest.skip("no SciPy-bundled OpenBLAS with its own thread setter")
+        config = self.config(tmp_path, points_per_scene=1024, feature_dim=32,
+                             hidden_widths="64,64", fps_count=256, pretrain_steps=10)
+        script = ("import ctypes, sys, scipy.linalg; blas = ctypes.CDLL(sys.argv[1]); "
+                  "blas.scipy_openblas_set_num_threads(int(sys.argv[2])); "
+                  "assert blas.scipy_openblas_get_num_threads() == int(sys.argv[2]); "
+                  "from pointvb.cli import main; sys.exit(main(sys.argv[3:]))")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"scipy_threads{threads}")
+            child = subprocess.run(
+                [sys.executable, "-c", script, str(lib), threads, "pretrain",
+                 "--config", str(config), "--out", str(outs[-1])],
+                env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                text=True, timeout=600)
+            assert child.returncode == 0, child.stderr
+        for name in ("pretrain_trace.csv", "pretrain.ckpt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
                 name
 

@@ -162,7 +162,8 @@ class TestEvaluate:
         cfg = small_cfg()
         state = init_state(cfg, with_head=True)
         cloud, _ = generate_synthetic_scene(3, 512, 4)
-        predicted = predict_scene(state, cloud, cfg)
+        [prepared] = metrics.prepared_scenes([cloud], cfg.voxel_size, cfg.knn)
+        predicted = predict_scene(state, prepared)
         assert predicted.shape == (512,)
         assert predicted.min() >= 0 and predicted.max() < 4
 
@@ -170,8 +171,9 @@ class TestEvaluate:
         cfg = small_cfg()
         state = init_state(cfg)
         cloud, _ = generate_synthetic_scene(3, 128, 4)
-        with pytest.raises(DataError):
-            predict_scene(state, cloud, cfg)
+        [prepared] = metrics.prepared_scenes([cloud], cfg.voxel_size, cfg.knn)
+        with pytest.raises(DataError, match="requires a classification head"):
+            predict_scene(state, prepared)
 
     def test_evaluate_deterministic(self):
         cfg = small_cfg()
@@ -244,7 +246,8 @@ class TestLookAhead:
         under `cores` of them, whose count of helper threads prepares ahead."""
         state = init_state(cfg, with_head=True)
         to_float32(state)  # the precision evaluate scores in
-        alone = [predict_scene(state, cloud, cfg) for cloud, _ in scenes.scenes]
+        alone = [predict_scene(state, future) for future in metrics.prepared_scenes(
+            [cloud for cloud, _ in scenes.scenes], cfg.voxel_size, cfg.knn)]
         cm = ConfusionMatrix.zeros(cfg.num_classes)
         for (_, labels), predicted in zip(scenes.scenes, alone):
             mask = labels.present_mask
@@ -255,7 +258,7 @@ class TestLookAhead:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         usable = len(os.sched_getaffinity(0))
         prepared, threads, started, predictions, spans = [], set(), [], [], []
-        dtypes, lock = set(), threading.Lock()
+        dtypes, lock, origin = set(), threading.Lock(), {}  # id(result): (result, cloud id)
         prepare, predict = metrics.prepare_scene, metrics.predict_scene
 
         def recorded_prepare(cloud, *args):
@@ -266,7 +269,9 @@ class TestLookAhead:
             # scene's predict_scene has a wait to cover
             time.sleep(0.1 if cloud is scored[0][0] else 0.005)
             _, mapping, neighbors = result = prepare(cloud, *args)
-            dtypes.update((mapping.dtype, neighbors.dtype))
+            with lock:
+                dtypes.update((mapping.dtype, neighbors.dtype))
+                origin[id(result)] = result, id(cloud)
             return result
 
         class Watched:
@@ -279,16 +284,17 @@ class TestLookAhead:
                 self.waited = True
                 return self.future.result()
 
-        def recorded_predict(state, cloud, cfg, future):
+        def recorded_predict(state, future):
             time.sleep(0.01)  # a slow scorer, which an unbounded pool would outrun
             with lock:
                 started.append(len(prepared))
             assert isinstance(future, Future)
             watched, begun = Watched(future), time.perf_counter()
-            predictions.append((id(cloud), predict(state, cloud, cfg, watched)))
+            predicted = predict(state, watched)
             spans.append(time.perf_counter() - begun)
             assert watched.waited  # predict_scene resolved the future itself
-            return predictions[-1][1]
+            predictions.append((origin[id(future.result())][1], predicted))
+            return predicted
 
         monkeypatch.setattr(metrics, "prepare_scene", recorded_prepare)
         monkeypatch.setattr(metrics, "predict_scene", recorded_predict)

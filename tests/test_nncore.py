@@ -276,6 +276,38 @@ class TestGradientCheck:
         # every coordinate is checked; the doubled one is off by |2w - w| / |2w|
         assert errors["w"] == pytest.approx(0.5, rel=1e-6)
 
+    def test_invariant_parameter_passes(self):
+        """Centering each column makes the loss exactly invariant to b, so
+        its analytic gradient is zero and its finite differences are the
+        loss's rounding alone (2.2e-3 as a relative error against the 1e-8
+        floor): the exact-zero rule passes them."""
+        rng = np.random.default_rng(11)
+        w, b, v = rng.normal(size=(6, 4)), rng.normal(size=4), rng.normal(size=(6, 4))
+
+        def loss_fn(params):
+            x = params["w"] + params["b"]
+            return float(np.sum(np.tanh(x - x.mean(axis=0)) * v))
+
+        outer = (1.0 - np.tanh(w - w.mean(axis=0)) ** 2) * v
+        errors = gradient_check(loss_fn, {"w": w, "b": b},
+                                {"w": outer - outer.mean(axis=0), "b": np.zeros(4)},
+                                rng=rng)
+        assert errors["b"] == 0.0
+        assert errors["w"] < 1e-6
+
+    def test_zeroed_coordinate_fails(self):
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(5, 4)) + 1.0
+        zeroed = w.copy()
+        zeroed[2, 1] = 0.0
+
+        def loss_fn(params):
+            return 0.5 * float(np.sum(params["w"] ** 2))
+
+        errors = gradient_check(loss_fn, {"w": w}, {"w": zeroed}, rng=rng)
+        # the analytic zero's true gradient is real: |0 - n| / |n|
+        assert errors["w"] == pytest.approx(1.0, rel=1e-12)
+
     def test_nonfinite_loss_raises(self):
         def loss_fn(params):
             return float("nan")
