@@ -27,11 +27,11 @@ from .nncore import (
     encoder_forward,
     gradient_check,
     init_encoder,
-    normalize_columns,
 )
 from .vbloss import (
     cross_correlation,
     gaussian_entropy,
+    normalize_columns,
     vb_loss,
     vb_loss_backward,
     vb_objective_estimate,

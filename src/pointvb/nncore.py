@@ -1,6 +1,5 @@
 """Dense numeric core: the point-feature encoder with explicit forward and
-backward passes, a finite-difference gradient checker, and feature-column
-normalization.
+backward passes, and a finite-difference gradient checker.
 
 The encoder is a shared per-point MLP. After each hidden layer the ReLU
 activations are concatenated with their mean over each point's k nearest
@@ -200,18 +199,6 @@ def encoder_backward(tape: ForwardTape, upstream: np.ndarray) -> dict[str, np.nd
         if layer:
             dx = dz @ params.weights[layer].T
     return grads
-
-
-def normalize_columns(features: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
-    """Center each column to mean 0 and scale it to unit L2 norm.
-
-    The norm is floored at epsilon, so a constant column maps to zeros.
-    """
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise DataError(f"need a 2-D matrix with >= 2 rows, got {features.shape}")
-    centered = features - features.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(centered, axis=0, keepdims=True)
-    return centered / np.maximum(norms, epsilon)
 
 
 def gradient_check(

@@ -8,9 +8,26 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import DataError, NumericError
-from .nncore import normalize_columns
 
 EPSILON = 1e-12  # floor of a column norm in the normalization
+
+
+def _normalized(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns centered to mean 0 and divided by their L2 norms floored at
+    EPSILON, and those floored norms (1 x D)."""
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise DataError(f"need a 2-D matrix with >= 2 rows, got {features.shape}")
+    centered = features - features.mean(axis=0, keepdims=True)
+    norms = np.maximum(np.linalg.norm(centered, axis=0, keepdims=True), EPSILON)
+    return centered / norms, norms
+
+
+def normalize_columns(features: np.ndarray) -> np.ndarray:
+    """Center each column to mean 0 and scale it to unit L2 norm.
+
+    The norm is floored at EPSILON, so a constant column maps to zeros.
+    """
+    return _normalized(features)[0]
 
 
 def cross_correlation(zp: np.ndarray, zq: np.ndarray) -> np.ndarray:
@@ -21,9 +38,7 @@ def cross_correlation(zp: np.ndarray, zq: np.ndarray) -> np.ndarray:
     """
     if zp.shape != zq.shape:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
-    a = normalize_columns(zp, EPSILON)
-    b = normalize_columns(zq, EPSILON)
-    return a.T @ b
+    return normalize_columns(zp).T @ normalize_columns(zq)
 
 
 def _scale_off_diagonal(z: np.ndarray, weight: float) -> np.ndarray:
@@ -56,8 +71,7 @@ def vb_loss_backward(
     if zp.shape != zq.shape:
         raise DataError(f"view shapes differ: {zp.shape} vs {zq.shape}")
     dtype, zp, zq = zp.dtype, zp.astype(np.float64), zq.astype(np.float64)
-    a = normalize_columns(zp, EPSILON)
-    b = normalize_columns(zq, EPSILON)
+    (a, a_norms), (b, b_norms) = _normalized(zp), _normalized(zq)
     z = a.T @ b
     loss = vb_loss(z, cfg)
     if not np.isfinite(loss):
@@ -68,23 +82,19 @@ def vb_loss_backward(
     residual = _scale_off_diagonal(z, cfg.off_diagonal_weight) - np.eye(len(z))
     dz = _scale_off_diagonal(residual, cfg.off_diagonal_weight)
     dz = 2.0 * dz if cfg.squared_norm else dz / loss
-    da = b @ dz.T
-    db = a @ dz
-    return loss, _normalize_columns_backward(zp, da).astype(dtype), \
-        _normalize_columns_backward(zq, db).astype(dtype)
+    return loss, _normalized_backward(a, a_norms, b @ dz.T).astype(dtype), \
+        _normalized_backward(b, b_norms, a @ dz).astype(dtype)
 
 
-def _normalize_columns_backward(raw: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Backprop through normalize_columns for each column independently."""
-    centered = raw - raw.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(centered, axis=0, keepdims=True)
-    clipped = np.maximum(norms, EPSILON)
-    y = centered / clipped
+def _normalized_backward(y: np.ndarray, norms: np.ndarray,
+                         upstream: np.ndarray) -> np.ndarray:
+    """Backprop through _normalized for each column independently, from its
+    normalized columns y and floored norms."""
     # d/dcentered of (centered / max(norm, eps)); the norm term only flows
-    # where the norm is not clipped at epsilon
+    # where the norm is not floored at epsilon
     active = (norms > EPSILON).astype(np.float64)
-    dc = upstream / clipped - active * y * np.sum(y * upstream, axis=0,
-                                                 keepdims=True) / clipped
+    dc = upstream / norms - active * y * np.sum(y * upstream, axis=0,
+                                                keepdims=True) / norms
     return dc - dc.mean(axis=0, keepdims=True)
 
 

@@ -12,7 +12,6 @@ from pointvb.nncore import (
     encoder_params_dict,
     gradient_check,
     init_encoder,
-    normalize_columns,
     plan_rows,
     pooling_operator,
 )
@@ -319,30 +318,3 @@ class TestGradientCheck:
     def test_bad_step(self):
         with pytest.raises(DataError):
             gradient_check(lambda p: 0.0, {}, {}, step=0.0)
-
-
-class TestNormalizeColumns:
-    def test_idempotent_on_normalized(self):
-        rng = np.random.default_rng(10)
-        x = normalize_columns(rng.normal(size=(20, 6)))
-        np.testing.assert_allclose(normalize_columns(x), x, atol=1e-12)
-
-    def test_hand_case(self):
-        out = normalize_columns(np.array([[1.0], [3.0]]))
-        np.testing.assert_allclose(
-            out, [[-1.0 / np.sqrt(2)], [1.0 / np.sqrt(2)]], atol=1e-15)
-
-    def test_constant_column_zeroed(self):
-        out = normalize_columns(np.array([[5.0], [5.0], [5.0]]))
-        np.testing.assert_array_equal(out, np.zeros((3, 1)))
-
-    def test_mean_and_norm(self):
-        rng = np.random.default_rng(11)
-        out = normalize_columns(rng.normal(size=(50, 8)))
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(
-            np.linalg.norm(out, axis=0), 1.0, atol=1e-10)
-
-    def test_needs_two_rows(self):
-        with pytest.raises(DataError):
-            normalize_columns(np.ones((1, 3)))

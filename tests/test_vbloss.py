@@ -4,8 +4,10 @@ import pytest
 from pointvb.config import TrainConfig
 from pointvb.errors import DataError, NumericError
 from pointvb.vbloss import (
+    EPSILON,
     cross_correlation,
     gaussian_entropy,
+    normalize_columns,
     vb_loss,
     vb_loss_backward,
     vb_objective_estimate,
@@ -27,6 +29,33 @@ def numeric_grad(fn, x, step=1e-6):
         flat[i] = orig
         out[i] = (up - down) / (2 * step)
     return g
+
+
+class TestNormalizeColumns:
+    def test_idempotent_on_normalized(self):
+        rng = np.random.default_rng(10)
+        x = normalize_columns(rng.normal(size=(20, 6)))
+        np.testing.assert_allclose(normalize_columns(x), x, atol=1e-12)
+
+    def test_hand_case(self):
+        out = normalize_columns(np.array([[1.0], [3.0]]))
+        np.testing.assert_allclose(
+            out, [[-1.0 / np.sqrt(2)], [1.0 / np.sqrt(2)]], atol=1e-15)
+
+    def test_constant_column_zeroed(self):
+        out = normalize_columns(np.array([[5.0], [5.0], [5.0]]))
+        np.testing.assert_array_equal(out, np.zeros((3, 1)))
+
+    def test_mean_and_norm(self):
+        rng = np.random.default_rng(11)
+        out = normalize_columns(rng.normal(size=(50, 8)))
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(
+            np.linalg.norm(out, axis=0), 1.0, atol=1e-10)
+
+    def test_needs_two_rows(self):
+        with pytest.raises(DataError):
+            normalize_columns(np.ones((1, 3)))
 
 
 class TestCrossCorrelation:
@@ -182,6 +211,27 @@ class TestVbLossBackward:
         a, _, _ = vb_loss_backward(zp, zq, cfg)
         b, _, _ = vb_loss_backward(zp[perm], zq[perm], cfg)
         assert abs(a - b) < 1e-12
+
+    def test_floored_column_matches_finite_differences(self):
+        # a column whose centered norm is below EPSILON is divided by the
+        # floor, a constant, so its norm term must not flow
+        rng = np.random.default_rng(9)
+        zp, zq = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
+        zp[:, 1] = 1e-14 * rng.normal(size=16)
+        assert np.linalg.norm(zp[:, 1] - zp[:, 1].mean()) < EPSILON
+        cfg = TrainConfig(off_diagonal_weight=1.0 / 8.0)
+        _, grad_p, _ = vb_loss_backward(zp, zq, cfg)
+        column = zp[:, 1].copy()
+
+        def loss():
+            zp[:, 1] = column
+            return vb_loss_backward(zp, zq, cfg)[0]
+
+        num = numeric_grad(loss, column, step=1e-16)
+        a = grad_p[:, 1]
+        rel = np.abs(a - num) / np.maximum.reduce(
+            [np.abs(a), np.abs(num), np.full_like(a, 1e-8)])
+        assert rel.max() < 1e-5
 
     @pytest.mark.parametrize("squared", [False, True])
     def test_nan_in_one_view_raises(self, squared):
