@@ -20,6 +20,7 @@ from .experiment import (
     load_split,
     run_experiment,
     run_phase,
+    sparsify_scenes,
     write_report_csv,
 )
 from .geometry import apply_transform
@@ -82,21 +83,18 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     """`pretrain` or `finetune`: one phase; fine-tuning starts from
-    --checkpoint or init_checkpoint when one is given."""
+    --checkpoint or init_checkpoint when one is given and trains on
+    labels_per_scene labels a scene."""
     values = _values(args)
-    phase = args.command
+    cfg = train_config(values, args.command)
     out = make_directory(values["out_dir"])
-    state = None
-    if phase == "finetune":
-        if args.checkpoint is not None:
-            values["init_checkpoint"] = str(args.checkpoint)
-        if values["init_checkpoint"]:
-            state, _ = load_checkpoint(values["init_checkpoint"],
-                                       train_config(values, phase))
-    data = VoxelizedScenes(load_split(values, "train"),
-                           train_config(values, phase))
-    _, trace = run_phase(values, phase, data, state, out)
-    print(f"{phase}: {len(trace)} steps; final loss {trace[-1][2]:.6f}; "
+    checkpoint = cfg.phase == "finetune" and (args.checkpoint or values["init_checkpoint"])
+    state = load_checkpoint(checkpoint, cfg)[0] if checkpoint else None
+    scenes = load_split(values, "train")
+    if cfg.phase == "finetune":
+        scenes = sparsify_scenes(scenes, values["labels_per_scene"], values["seed"])
+    _, trace = run_phase(cfg, VoxelizedScenes(scenes, cfg), state, out)
+    print(f"{cfg.phase}: {len(trace)} steps; final loss {trace[-1][2]:.6f}; "
           f"outputs in {out}")
     return 0
 

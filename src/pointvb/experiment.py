@@ -5,7 +5,6 @@ evaluation, and CSV/checkpoint emission."""
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import multiprocessing
 import os
@@ -24,7 +23,7 @@ from .geometry import (
 from .metrics import RunReport, evaluate
 from .pcio import (
     SceneSet,
-    SparseLabelSet,
+    check_scene_directory,
     generate_synthetic_scene,
     load_scene_set,
     make_directory,
@@ -75,12 +74,6 @@ class VoxelizedScenes:
             built = [prepared.result() for prepared in ahead]
         self.clouds, self.mappings, self.neighbors = map(list, zip(*built))
         self.point_labels = [labels for _, labels in scenes.scenes]
-
-    def relabeled(self, point_labels: list[SparseLabelSet]) -> "VoxelizedScenes":
-        """These voxels and kNN graphs with other point labels, one set a scene."""
-        data = copy.copy(self)
-        data.point_labels = point_labels
-        return data
 
 
 def _accumulated_step(state: TrainState, cfg: TrainConfig, compute) -> float:
@@ -190,15 +183,11 @@ def finetune(
         state, planned(labeled[int(state.rng.integers(len(labeled)))])))
 
 
-def sparse_labels(label_sets, k: int, seed: int) -> list[SparseLabelSet]:
-    """Each scene's k-point uniform label subsample, scene i's from seed * 7919 + i."""
-    return [subsample_labels(lbl, k, seed * 7919 + i) for i, lbl in enumerate(label_sets)]
-
-
 def sparsify_scenes(scenes: SceneSet, k: int, seed: int) -> SceneSet:
-    """Replace every scene's labels with a k-point uniform subsample."""
-    clouds, labels = zip(*scenes.scenes)
-    return SceneSet(list(zip(clouds, sparse_labels(labels, k, seed))),
+    """Replace every scene's labels with a k-point uniform subsample, scene
+    i's drawn from seed * 7919 + i."""
+    return SceneSet([(cloud, subsample_labels(labels, k, seed * 7919 + i))
+                     for i, (cloud, labels) in enumerate(scenes.scenes)],
                     split=scenes.split, scene_ids=list(scenes.scene_ids))
 
 
@@ -230,37 +219,34 @@ def load_split(values: dict, split: str) -> SceneSet:
 
 
 def generate_dataset(values: dict, out_dir: Path) -> None:
-    """`synth` subcommand: write train/val manifests to disk."""
-    for split in ("train", "val"):
-        write_scene_set(load_split({**values, "data_dir": ""}, split),
-                        out_dir / split)
+    """`synth` subcommand: write train/val manifests, neither if one is refused."""
+    splits = [(load_split({**values, "data_dir": ""}, split), out_dir / split)
+              for split in ("train", "val")]
+    for scenes, directory in splits:
+        check_scene_directory(scenes, directory)
+    for scenes, directory in splits:
+        write_scene_set(scenes, directory)
 
 
 def run_phase(
-    values: dict, phase: str, data: VoxelizedScenes,
-    state: TrainState | None, out: Path,
+    cfg: TrainConfig, data: VoxelizedScenes, state: TrainState | None, out: Path,
 ) -> tuple[TrainState, list[tuple[int, float, float]]]:
-    """Train one phase on voxelized scenes from `state`, or a fresh model
-    when it is None; write <phase>_trace.csv and pretrain.ckpt or final.ckpt
-    under out, and return the state and its (step, lr, loss) trace. For
-    fine-tuning the voxels are relabeled from labels_per_scene labels a scene,
-    a headless encoder gets a fresh head, and one with a head restarts at
-    step 0 with fresh momentum buffers."""
-    cfg = train_config(values, phase)
-    if phase == "finetune":
-        data = data.relabeled(sparse_labels(
-            data.point_labels, values["labels_per_scene"], values["seed"]))
+    """Train phase cfg.phase on voxelized scenes, and the labels they carry,
+    from `state`, or a fresh model when it is None; write <phase>_trace.csv
+    and pretrain.ckpt or final.ckpt under out, and return the state and its
+    (step, lr, loss) trace. For fine-tuning a headless encoder gets a fresh
+    head, and one with a head restarts at step 0 with fresh momentum buffers."""
     if state is None:
-        state = init_state(cfg, with_head=phase == "finetune")
-    elif phase == "finetune" and state.head is None:
+        state = init_state(cfg, with_head=cfg.phase == "finetune")
+    elif cfg.phase == "finetune" and state.head is None:
         attach_head(state, cfg)
-    elif phase == "finetune":
+    elif cfg.phase == "finetune":
         state.step, state.momentum_buffers = 0, {}
-    if phase == "pretrain":
+    if cfg.phase == "pretrain":
         trace, checkpoint = pretrain(state, data, cfg), "pretrain.ckpt"
     else:
         trace, checkpoint = finetune(state, data, cfg), "final.ckpt"
-    write_trace_csv(trace, out / f"{phase}_trace.csv")
+    write_trace_csv(trace, out / f"{cfg.phase}_trace.csv")
     save_checkpoint(state, cfg, out / checkpoint)
     return state, trace
 
@@ -282,13 +268,14 @@ def run_experiment(values: dict, out_dir: str | Path) -> RunReport:
                             "fine-tuning and provides no init_checkpoint")
         raise DataError("no classification head trained; cannot evaluate")
     val_scenes = load_split(values, "val")
-    # both phases read these (one voxel_size and knn), and one runs only if
-    # fine-tuning does; no raw training cloud outlives this
-    data = values["finetune"] and VoxelizedScenes(load_split(values, "train"), cfg)
+    # both phases read these (one voxel_size and knn; pretraining no labels),
+    # and one runs only if fine-tuning does; no raw training cloud outlives this
+    data = values["finetune"] and VoxelizedScenes(sparsify_scenes(
+        load_split(values, "train"), values["labels_per_scene"], values["seed"]), cfg)
     trace = []
     for phase in ("pretrain", "finetune"):
         if values[phase] and (phase == "finetune" or state is None):
-            state, phase_trace = run_phase(values, phase, data, state, out)
+            state, phase_trace = run_phase(train_config(values, phase), data, state, out)
             trace.extend(phase_trace)
     report = evaluate(state, val_scenes, cfg)
     write_trace_csv(trace, out / "trace.csv")

@@ -96,8 +96,8 @@ class SceneSet:
             raise DataError("scene set must be nonempty")
         if not self.scene_ids:
             self.scene_ids = [str(i) for i in range(len(self.scenes))]
-        if len(set(self.scene_ids)) != len(self.scene_ids):
-            raise DataError("scene ids must be unique")
+        if not len(set(self.scene_ids)) == len(self.scene_ids) == len(self.scenes):
+            raise DataError("scene ids must be unique, one a scene")
         for cloud, labels in self.scenes:
             if len(cloud) != len(labels):
                 raise LabelError(
@@ -405,8 +405,20 @@ def make_directory(path: str | Path) -> Path:
     return Path(path)
 
 
+def check_scene_directory(scenes: SceneSet, directory: str | Path) -> None:
+    """Refuse a directory that holds a scene_<id>.ply or .labels file of an
+    id not among scenes': writing them there would mix two datasets."""
+    ids = set(scenes.scene_ids)
+    stale = sorted(path.name for path in Path(directory).glob("scene_*")
+                   if path.suffix in (".ply", ".labels")
+                   and path.stem[len("scene_"):] not in ids)
+    if stale:
+        raise DataError(f"{directory} holds files of other scenes, such as {stale[0]}")
+
+
 def write_scene_set(scenes: SceneSet, directory: str | Path) -> None:
-    """Write scenes as scene_<id>.ply + scene_<id>.labels files."""
+    """Write scenes as scene_<id>.ply + .labels files, if check_scene_directory allows."""
+    check_scene_directory(scenes, directory)
     directory = make_directory(directory)
     for scene_id, (cloud, labels) in zip(scenes.scene_ids, scenes.scenes):
         save_ply(cloud, directory / f"scene_{scene_id}.ply")

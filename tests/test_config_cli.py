@@ -348,6 +348,52 @@ class TestCli:
                 written = sorted((out / "data" / split).glob(f"scene_*{suffix}"))
                 assert len(written) == count, (split, suffix)
 
+    def test_synth_reruns_into_its_own_directory(self, tiny_config_file, tmp_path):
+        out = tmp_path / "out"
+        for _ in range(2):
+            assert main(["synth", "--config", str(tiny_config_file),
+                         "--out", str(out)]) == 0
+        assert len(list((out / "data").rglob("scene_*"))) == 2 * (3 + 2)
+
+    @pytest.mark.parametrize("count, fewer", [("num_scenes = 3", "num_scenes = 2"),
+                                              ("val_scenes = 2", "val_scenes = 1")])
+    def test_synth_refuses_a_directory_of_another_dataset(
+            self, count, fewer, tiny_config_file, tmp_path, capsys):
+        """A smaller dataset of another seed is not mixed into an old one's
+        directory: synth exits 2 and leaves every file of either split as it
+        was, even when only the validation split is smaller."""
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(tiny_config_file), "--out", str(out),
+                     "--seed", "1"]) == 0
+
+        def files():
+            return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                    for path in (out / "data").rglob("*") if path.is_file()}
+
+        before = files()
+        smaller = tmp_path / "smaller.cfg"
+        smaller.write_text(TINY_CONFIG.replace(count, fewer))
+        assert main(["synth", "--config", str(smaller), "--out", str(out),
+                     "--seed", "2"]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert files() == before
+
+    @pytest.mark.parametrize("command", ["run", "finetune"])
+    def test_too_many_labels_per_scene_is_refused_before_preparing(
+            self, command, tmp_path, capsys, monkeypatch):
+        """A labels_per_scene past a training scene's labels exits 2 before
+        any scene is prepared or any phase runs: out_dir stays empty."""
+        prepared, prepare = [], metrics.prepare_scene
+        monkeypatch.setattr(metrics, "prepare_scene",
+                            lambda *a: prepared.append(1) or prepare(*a))
+        config = tmp_path / "many.cfg"
+        config.write_text(TINY_CONFIG.replace("labels_per_scene = 20",
+                                              "labels_per_scene = 300"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert "data error: only 256 present labels, need 300" in capsys.readouterr().err
+        assert prepared == [] and list(out.iterdir()) == []
+
     # every seed: the last bias's true gradient is exactly zero (the loss
     # centers each feature column), and so is a dead unit's
     @pytest.mark.parametrize("seed", range(25))

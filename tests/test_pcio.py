@@ -381,3 +381,27 @@ class TestSceneSet:
         scene = generate_synthetic_scene(0, 64, 4)
         with pytest.raises(DataError):
             SceneSet([scene, scene], scene_ids=["a", "a"])
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"]])
+    def test_ids_not_one_a_scene_rejected(self, ids):
+        """Fewer ids than scenes would drop the unnamed scenes when written."""
+        scene = generate_synthetic_scene(0, 64, 4)
+        with pytest.raises(DataError, match="one a scene"):
+            SceneSet([scene, scene], scene_ids=ids)
+
+    @pytest.mark.parametrize("stale", ["scene_c.ply", "scene_c.labels"])
+    def test_directory_of_other_scenes_refused(self, stale, tmp_path):
+        """A scene file of an id not being written is refused before any
+        file is written; files of the ids being written are overwritten."""
+        scenes = SceneSet([generate_synthetic_scene(i, 64, 4) for i in range(2)],
+                          scene_ids=["a", "b"])
+        write_scene_set(scenes, tmp_path)
+        write_scene_set(scenes, tmp_path)
+        (tmp_path / stale).write_bytes(b"")
+        (tmp_path / "notes.txt").write_bytes(b"")  # not a scene file
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(DataError, match="files of other scenes"):
+            write_scene_set(SceneSet(scenes.scenes, scene_ids=["x", "y"]), tmp_path)
+        with pytest.raises(DataError, match=stale):
+            write_scene_set(scenes, tmp_path)
+        assert sorted(tmp_path.iterdir()) == before

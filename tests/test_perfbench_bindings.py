@@ -8,6 +8,7 @@ benchmark's traced runs, so it fails here instead.
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -26,7 +27,8 @@ from pointvb.experiment import (
 from pointvb.pcio import ABSENT, SparseLabelSet
 from pointvb.training import TrainConfig, attach_head, init_state
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture
@@ -48,6 +50,16 @@ def test_every_traced_binding_resolves(tracer):
         if not callable(getattr(importlib.import_module(module_name), attr, None)):
             missing.append(binding)
     assert len(bindings) > 3 and not missing, missing
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own tiny-size run of every workload, which calls the
+    package as the benchmark does: names that still resolve can still be
+    called wrongly."""
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip().splitlines()[-1] == "selftest: ok"
 
 
 def test_training_steps_record_every_step_op(tracer):

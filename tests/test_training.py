@@ -44,8 +44,10 @@ from pointvb.pcio import (
     PointCloud,
     SparseLabelSet,
     generate_synthetic_scene,
+    load_scene_set,
     make_directory,
     subsample_labels,
+    write_scene_set,
 )
 from pointvb.vbloss import vb_loss_backward
 from pointvb.training import (
@@ -702,19 +704,20 @@ class TestLabelVotes:
         return voted, at_compute
 
     def test_run_phase(self, tmp_path, monkeypatch):
+        """Both phases train on one prepared value; fine-tuning votes the
+        labels it carries, pretraining none."""
         values = self.VALUES
         voted, at_compute = self.counting(monkeypatch)
-        data = VoxelizedScenes(load_split(values, "train"),
-                               train_config(values, "finetune"))
+        scenes = experiment.sparsify_scenes(load_split(values, "train"),
+                                            values["labels_per_scene"], values["seed"])
+        data = VoxelizedScenes(scenes, train_config(values, "finetune"))
         assert not hasattr(data, "labels") and voted == []
-        state, _ = run_phase(values, "pretrain", data, None, tmp_path)
+        state, _ = run_phase(train_config(values, "pretrain"), data, None, tmp_path)
         assert voted == []
-        run_phase(values, "finetune", data, state, tmp_path)
+        run_phase(train_config(values, "finetune"), data, state, tmp_path)
         assert at_compute == [3] * 4
-        sparse = experiment.sparse_labels(data.point_labels, values["labels_per_scene"],
-                                          values["seed"])
-        for got, expected in zip(voted, sparse, strict=True):
-            np.testing.assert_array_equal(got.labels, expected.labels)
+        assert [id(labels) for labels in voted] == \
+            [id(labels) for _, labels in scenes.scenes]
 
     def test_sparsified_scenes(self, monkeypatch):
         """The benchmark's in-process path: scenes sparsified before they
@@ -729,6 +732,44 @@ class TestLabelVotes:
         assert at_compute == [3] * 4
         assert [id(labels) for labels in voted] == \
             [id(labels) for _, labels in scenes.scenes]
+
+
+class TestInProcessSequence:
+    """The call sequence the benchmark's in-process workload times
+    (perfbench/workloads.py, _inprocess), copied here, computes what
+    `pointvb run` computes from the same files."""
+
+    def test_equals_run_experiment(self, tmp_path):
+        values = {**default_config(), "num_scenes": 3, "val_scenes": 2,
+                  "points_per_scene": 256, "feature_dim": 8, "hidden_widths": (16,),
+                  "knn": 8, "fps_count": 32, "pretrain_steps": 3, "finetune_steps": 3,
+                  "labels_per_scene": 20, "momentum": 0.5, "batch_size": 2,
+                  "seed": 2, "data_dir": str(tmp_path / "data")}
+        for split, count in (("train", 3), ("val", 2)):
+            write_scene_set(make_synthetic_dataset(2, count, 256, values["num_classes"],
+                                                   split), tmp_path / "data" / split)
+        report = run_experiment(values, tmp_path / "run")
+
+        pre_cfg = train_config(values, "pretrain")
+        fine_cfg = train_config(values, "finetune")
+        out = make_directory(tmp_path / "inprocess")
+        train = load_scene_set(tmp_path / "data" / "train", values["num_classes"], "train")
+        val = load_scene_set(tmp_path / "data" / "val", values["num_classes"], "val")
+        state = init_state(pre_cfg)
+        trace = experiment.pretrain(state, VoxelizedScenes(train, pre_cfg), pre_cfg)
+        experiment.write_trace_csv(trace, out / "pretrain_trace.csv")
+        save_checkpoint(state, pre_cfg, out / "pretrain.ckpt")
+        sparse = experiment.sparsify_scenes(train, values["labels_per_scene"], values["seed"])
+        fine_data = VoxelizedScenes(sparse, fine_cfg)
+        attach_head(state, fine_cfg)
+        trace = experiment.finetune(state, fine_data, fine_cfg)
+        experiment.write_trace_csv(trace, out / "finetune_trace.csv")
+        save_checkpoint(state, fine_cfg, out / "final.ckpt")
+
+        for name in ("pretrain_trace.csv", "pretrain.ckpt", "finetune_trace.csv",
+                     "final.ckpt"):
+            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+        assert metrics.evaluate(state, val, fine_cfg).mean_iou == report.mean_iou
 
 
 class TestPairThreads:
@@ -765,11 +806,11 @@ class TestPlannedSteps:
         values = {**default_config(), "num_scenes": 4, "points_per_scene": 512,
                   "feature_dim": 8, "hidden_widths": (16, 16), "knn": 8,
                   "finetune_steps": 24, "momentum": 0.5, "labels_per_scene": 6}
-        data = VoxelizedScenes(load_split(values, "train"),
-                               train_config(values, "finetune"))
+        cfg = train_config(values, "finetune")
+        data = VoxelizedScenes(experiment.sparsify_scenes(
+            load_split(values, "train"), values["labels_per_scene"], values["seed"]), cfg)
         plans = self.counting(monkeypatch, experiment, "finetune_plan")
-        kept, kept_trace = run_phase(values, "finetune", data, None,
-                                     make_directory(tmp_path / "kept"))
+        kept, kept_trace = run_phase(cfg, data, None, make_directory(tmp_path / "kept"))
         assert 3 <= len(plans) <= 4  # one plan per scene drawn
 
         def replan_every_step(state, data, cfg):
@@ -782,8 +823,7 @@ class TestPlannedSteps:
 
         monkeypatch.setattr(experiment, "finetune", replan_every_step)
         replans = self.counting(monkeypatch, training, "plan_rows")
-        fresh, fresh_trace = run_phase(values, "finetune", data, None,
-                                       make_directory(tmp_path / "fresh"))
+        fresh, fresh_trace = run_phase(cfg, data, None, make_directory(tmp_path / "fresh"))
         assert len(replans) == 24
         assert kept_trace == fresh_trace
         for name, value in fresh.param_dict().items():
