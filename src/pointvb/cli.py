@@ -30,8 +30,8 @@ from .pcio import generate_synthetic_scene, make_directory
 from .training import (
     init_state,
     load_checkpoint,
-    pair_loss_and_grads,
     pretrain_draws,
+    pretrain_grads,
     pretrain_sample,
     save_checkpoint,  # unused; perfbench/tracer.py traces this name
 )
@@ -123,12 +123,11 @@ def _cmd_gradcheck(args) -> int:
     cloud, _ = generate_synthetic_scene(values["seed"], 32, 2)
     cloud, _, neighbors = prepare_scene(cloud, cfg.voxel_size, cfg.knn)
     state = init_state(cfg)
-    _, (t_p, t_q, start) = pretrain_draws(state.rng, [cloud])
-    views = apply_transform(cloud, t_p), apply_transform(cloud, t_q)
-    sample = pretrain_sample(cloud, cfg, start)
+    _, draws = pretrain_draws(state.rng, [cloud])
+    sample = pretrain_sample(cloud, cfg, draws[2])
     layers = range(len(state.encoder.weights))
-    plan = plan_rows(neighbors, None, len(layers))
-    inputs = [encoder_input(view, plan) for view in views]
+    plan = plan_rows(state.encoder, neighbors, None)
+    inputs = [encoder_input(apply_transform(cloud, t), plan) for t in draws[:2]]
 
     def loss_fn(params):
         enc = EncoderParams([params[f"enc.w{i}"] for i in layers],
@@ -137,7 +136,7 @@ def _cmd_gradcheck(args) -> int:
         loss, _, _ = vb_loss_backward(fp, fq, cfg)
         return loss
 
-    _, grads = pair_loss_and_grads(state.encoder, *views, sample, cfg, neighbors)
+    _, grads = pretrain_grads(state.encoder, cloud, neighbors, draws, sample, cfg)
     errors = gradient_check(loss_fn, state.param_dict(), grads, rng=state.rng)
     worst = max(errors, key=errors.get)
     passed = errors[worst] < GRADCHECK_TOLERANCE

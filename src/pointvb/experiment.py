@@ -113,15 +113,19 @@ def _train(state: TrainState, cfg: TrainConfig, compute
 def pretrain(
     state: TrainState, data: VoxelizedScenes, cfg: TrainConfig
 ) -> list[tuple[int, float, float]]:
-    """Run cfg.iterations self-supervised steps; returns (step, lr, loss).
+    """Run cfg.iterations self-supervised steps of a state without a head
+    (DataError, before any worker starts); returns (step, lr, loss).
 
     Where the platform can fork, the first compute forks a worker after its
-    draws. It replays the later computes' pretrain_draws from its copy of
-    state.rng and sends their FPS samples ahead down a pipe, whose buffer
-    bounds how far ahead it runs. Once it is gone, or a sample does not
-    match its compute's draws, FPS runs in process for the rest of the
-    phase: FPS is a pure function of (cloud, H, start), so the bytes agree.
-    Both views of each pair run on the calling thread."""
+    draws and runs its own FPS in process. The worker replays the later
+    computes' pretrain_draws from its copy of state.rng and sends their FPS
+    samples ahead down a pipe, whose buffer bounds how far ahead it runs.
+    Once it is gone, or a sample does not match its compute's draws, FPS
+    runs in process for the rest of the phase: FPS is a pure function of
+    (cloud, H, start), so the bytes agree. Both views of each pair run on
+    the calling thread."""
+    if state.head is not None:
+        raise DataError("pretraining takes an encoder without a classification head")
     computes = (cfg.iterations - state.step) * cfg.batch_size
     fork = computes > 1 and "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
@@ -138,6 +142,7 @@ def pretrain(
     def compute():
         nonlocal fork, worker
         i, draws = pretrain_draws(state.rng, data.clouds)
+        cloud, start = data.clouds[i], draws[2]
         got = (None, None, None)
         if fork and worker is None:
             worker = context.Process(target=send_samples, args=(state.rng,))
@@ -146,11 +151,11 @@ def pretrain(
         elif fork:
             with contextlib.suppress(EOFError, OSError):  # the worker is gone
                 got = conn.recv()
-            if got[:2] != (i, draws[2]):
+            if got[:2] != (i, start):
                 fork = False
                 worker.terminate()
-        return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i],
-                              draws, got[2] if fork else None)
+        sample = got[2] if got[:2] == (i, start) else pretrain_sample(cloud, cfg, start)
+        return pretrain_grads(state.encoder, cloud, data.neighbors[i], draws, sample, cfg)
 
     with conn, sender:
         try:
@@ -184,9 +189,13 @@ def finetune(
 
 
 def sparsify_scenes(scenes: SceneSet, k: int, seed: int) -> SceneSet:
-    """Replace every scene's labels with a k-point uniform subsample, scene
-    i's drawn from seed * 7919 + i."""
-    return SceneSet([(cloud, subsample_labels(labels, k, seed * 7919 + i))
+    """Replace every labeled scene's labels with a k-point uniform subsample,
+    scene i's drawn from seed * 7919 + i; an unlabeled scene stays so.
+    DataError when no scene carries a label."""
+    if not any(labels.present_mask.any() for _, labels in scenes.scenes):
+        raise DataError(f"no {scenes.split} scene carries labels")
+    return SceneSet([(cloud, subsample_labels(labels, k, seed * 7919 + i)
+                      if labels.present_mask.any() else labels)
                      for i, (cloud, labels) in enumerate(scenes.scenes)],
                     split=scenes.split, scene_ids=list(scenes.scene_ids))
 

@@ -94,8 +94,8 @@ def predict_scene(state: TrainState, prepared: Future) -> np.ndarray:
         raise DataError("evaluation requires a classification head")
     encoder = state.encoder
     voxels, mapping, neighbors = prepared.result()
-    plan = plan_rows(neighbors, None, len(encoder.weights), encoder.dtype)
-    features, _ = encoder_forward(encoder, plan, encoder_input(voxels, plan, encoder.dtype))
+    plan = plan_rows(encoder, neighbors, None)
+    features, _ = encoder_forward(encoder, plan, encoder_input(voxels, plan))
     logits = features @ state.head.weight + state.head.bias
     return np.argmax(logits, axis=1)[mapping]
 

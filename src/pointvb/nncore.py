@@ -46,9 +46,11 @@ class EncoderParams:
 @dataclass
 class RowPlan:
     """What encoder layer l computes over a kNN graph: the points sets[l]
-    (None: all M). It depends on the graph and rows alone, so it is reused."""
+    (None: all M). It depends on the graph, the rows and its encoder's layer
+    count and dtype, not on the weights, so it is reused."""
 
     graph: tuple[int, int]               # the kNN graph's (M, k)
+    dtype: np.dtype                      # its encoder's: operators and inputs
     sets: list[np.ndarray | None]
     poolings: list[sparse.csr_matrix]    # hidden layer l: sets[l] -> sets[l + 1]
     transposes: list[sparse.csc_matrix]  # theirs, for the backward
@@ -109,14 +111,14 @@ def pooling_operator(neighbors: np.ndarray, rows: np.ndarray | None = None,
          np.arange(n + 1) * k), shape=(n, n if cols is None else len(cols)))
 
 
-def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
-              layers: int, dtype=np.float64) -> RowPlan:
-    """Plan `layers` dtype encoder layers over the kNN graph neighbors (M, k)
+def plan_rows(encoder: EncoderParams, neighbors: np.ndarray,
+              rows: np.ndarray | None) -> RowPlan:
+    """Plan encoder's layers, in its dtype, over the kNN graph neighbors (M, k)
     to compute all M rows (rows None: one pooling operator serves every hidden
     layer) or the distinct point indices rows: each layer what the next
     reads, sorted(rows), then those rows and their neighbors, layer by layer
     inward."""
-    m = len(neighbors)
+    m, layers, dtype = len(neighbors), len(encoder.weights), encoder.dtype
     sets: list[np.ndarray | None] = [None] * layers
     order = None
     if rows is not None:
@@ -132,19 +134,19 @@ def plan_rows(neighbors: np.ndarray, rows: np.ndarray | None,
         else [pooling_operator(neighbors, sets[i + 1], sets[i], dtype) for i in hidden]
     keeps = [slice(None) if rows is None else np.searchsorted(sets[i], sets[i + 1])
              for i in hidden]
-    return RowPlan(neighbors.shape, sets, poolings, [p.T for p in poolings],
+    return RowPlan(neighbors.shape, dtype, sets, poolings, [p.T for p in poolings],
                    keeps, order)
 
 
-def encoder_input(cloud: PointCloud, plan: RowPlan, dtype=np.float64) -> np.ndarray:
-    """The plan's layer-0 rows of the encoder input in dtype: positions and
-    colors scaled to [0, 1]. The cloud must be the plan's graph's M points,
-    every row finite in dtype."""
+def encoder_input(cloud: PointCloud, plan: RowPlan) -> np.ndarray:
+    """The plan's layer-0 rows of the encoder input in its dtype: positions
+    and colors scaled to [0, 1]. The cloud must be the plan's graph's M
+    points, every row finite in that dtype."""
     if len(cloud) != plan.graph[0]:
         raise DataError(f"graph shape {plan.graph} does not match {len(cloud)} points")
     x = np.concatenate([cloud.positions, cloud.colors / COLOR_SCALE], axis=1)
     with np.errstate(over="ignore"):  # what overflows dtype fails the check
-        x = x.astype(dtype, copy=False)
+        x = x.astype(plan.dtype, copy=False)
     if not np.isfinite(x).all():
         raise NumericError("non-finite encoder input")
     return x if plan.sets[0] is None else x[plan.sets[0]]

@@ -147,31 +147,6 @@ def sgd_momentum_step(
                 raise NumericError(f"non-finite {name} after an SGD step at lr {lr}")
 
 
-def pair_loss_and_grads(
-    encoder: EncoderParams,
-    view_p: PointCloud,
-    view_q: PointCloud,
-    sample: np.ndarray,
-    cfg: TrainConfig,
-    neighbors: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Viewpoint-bottleneck loss of two views at the shared `sample` rows
-    and its gradients with respect to every encoder parameter, p's then q's.
-
-    cfg gives the loss's off_diagonal_weight and squared_norm. neighbors is
-    the kNN graph of the cloud both views transform, planned once for both.
-    """
-    plan = plan_rows(neighbors, sample, len(encoder.weights), encoder.dtype)
-    (feats_p, tape_p), (feats_q, tape_q) = (
-        encoder_forward(encoder, plan, encoder_input(view, plan, encoder.dtype))
-        for view in (view_p, view_q))
-    loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, cfg)
-    grads = encoder_backward(tape_p, grad_p)
-    for name, g in encoder_backward(tape_q, grad_q).items():
-        grads[name] += g
-    return loss, grads
-
-
 def pretrain_draws(rng: np.random.Generator, clouds: list[PointCloud]
                    ) -> tuple[int, tuple[TransformSpec, TransformSpec, int]]:
     """One pretrain compute's draws from rng, in order: a scene index into
@@ -188,31 +163,30 @@ def pretrain_sample(cloud: PointCloud, cfg: TrainConfig, start: int) -> np.ndarr
 
 
 def pretrain_grads(
-    state: TrainState,
+    encoder: EncoderParams,
     cloud: PointCloud,
-    cfg: TrainConfig,
     neighbors: np.ndarray,
-    draws: tuple[TransformSpec, TransformSpec, int] | None = None,
-    sample: np.ndarray | None = None,
+    draws: tuple[TransformSpec, TransformSpec, int],
+    sample: np.ndarray,
+    cfg: TrainConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and parameter gradients for one cloud, without updating.
+    """Viewpoint-bottleneck loss of one cloud's pair of views and its
+    gradients with respect to every encoder parameter, p's then q's summed.
 
-    Two augmented views share the cloud's kNN graph neighbors and one
-    farthest-point index set computed on the untransformed cloud, so
-    correlated rows describe the same points. draws (both views' transforms
-    and the FPS start) come from state.rng when None; sample,
-    pretrain_sample of that start, is computed when None.
+    The views are the cloud under draws' two transforms (pretrain_draws);
+    sample is pretrain_sample at draws' FPS start, computed on the
+    untransformed cloud, so correlated rows describe the same points. Both
+    views share the cloud's kNN graph neighbors, planned once for both. cfg
+    gives the loss's off_diagonal_weight and squared_norm.
     """
-    t_p, t_q, start = draws or pretrain_draws(state.rng, [cloud])[1]
-    view_p = apply_transform(cloud, t_p)
-    view_q = apply_transform(cloud, t_q)
-    if sample is None:
-        sample = pretrain_sample(cloud, cfg, start)
-    loss, grads = pair_loss_and_grads(state.encoder, view_p, view_q, sample,
-                                      cfg, neighbors)
-    if state.head is not None:
-        grads["head.w"] = np.zeros_like(state.head.weight)
-        grads["head.b"] = np.zeros_like(state.head.bias)
+    plan = plan_rows(encoder, neighbors, sample)
+    (feats_p, tape_p), (feats_q, tape_q) = (
+        encoder_forward(encoder, plan, encoder_input(apply_transform(cloud, t), plan))
+        for t in draws[:2])
+    loss, grad_p, grad_q = vb_loss_backward(feats_p, feats_q, cfg)
+    grads = encoder_backward(tape_p, grad_p)
+    for name, g in encoder_backward(tape_q, grad_q).items():
+        grads[name] += g
     return loss, grads
 
 
@@ -254,8 +228,8 @@ def finetune_plan(encoder: EncoderParams, cloud: PointCloud, labels: SparseLabel
     rows = np.flatnonzero(labels.present_mask)
     if len(rows) == 0:
         raise DataError("fine-tune scene has no labeled voxel")
-    plan = plan_rows(neighbors, rows, len(encoder.weights), encoder.dtype)
-    return plan, encoder_input(cloud, plan, encoder.dtype), \
+    plan = plan_rows(encoder, neighbors, rows)
+    return plan, encoder_input(cloud, plan), \
         SparseLabelSet(labels.labels[rows], labels.num_classes)
 
 

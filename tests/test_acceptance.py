@@ -47,8 +47,9 @@ from pointvb.training import (
     init_state,
     load_checkpoint,
     masked_cross_entropy,
-    pair_loss_and_grads,
+    pretrain_draws,
     pretrain_grads,
+    pretrain_sample,
     save_checkpoint,
 )
 from pointvb.vbloss import (
@@ -102,11 +103,9 @@ def heldout_views(state, num_scenes=4):
         t_p = sample_transform(rng, m)
         t_q = sample_transform(rng, m)
         # both views over the scene's one kNN graph, as pretraining pairs them
-        plan = plan_rows(knn_indices(voxels.positions, 16), None,
-                         len(state.encoder.weights), state.encoder.dtype)
+        plan = plan_rows(state.encoder, knn_indices(voxels.positions, 16), None)
         feats_p, feats_q = (encoder_forward(state.encoder, plan, encoder_input(
-            apply_transform(voxels, t), plan, state.encoder.dtype))[0]
-            for t in (t_p, t_q))
+            apply_transform(voxels, t), plan))[0] for t in (t_p, t_q))
         sample = farthest_point_sampling(voxels, 256, 0)
         pairs.append((feats_p[sample], feats_q[sample]))
     return pairs
@@ -148,16 +147,15 @@ class TestCriterion1GradientFidelity:
     def vb_instance(seed):
         cloud, _ = generate_synthetic_scene(seed, 48, 2)
         rng = np.random.default_rng(seed)
-        view_p = apply_transform(cloud, sample_transform(rng, len(cloud)))
-        view_q = apply_transform(cloud, sample_transform(rng, len(cloud)))
+        draws = (sample_transform(rng, len(cloud)), sample_transform(rng, len(cloud)), 0)
         sample = farthest_point_sampling(cloud, 16, 0)
         encoder = init_encoder(rng, 8, (8,))
         vb_cfg = TrainConfig(off_diagonal_weight=0.1)
         # both views over the cloud's one kNN graph, as pretraining pairs them;
         # the reference computes every row of it
         nbrs = knn_indices(cloud.positions, 4)
-        plan = plan_rows(nbrs, None, 2)
-        inputs = [encoder_input(view, plan) for view in (view_p, view_q)]
+        plan = plan_rows(encoder, nbrs, None)
+        inputs = [encoder_input(apply_transform(cloud, t), plan) for t in draws[:2]]
 
         def loss_fn(params):
             probe = EncoderParams(
@@ -168,8 +166,7 @@ class TestCriterion1GradientFidelity:
             loss, _, _ = vb_loss_backward(fp, fq, vb_cfg)
             return loss
 
-        _, grads = pair_loss_and_grads(encoder, view_p, view_q, sample,
-                                       vb_cfg, nbrs)
+        _, grads = pretrain_grads(encoder, cloud, nbrs, draws, sample, vb_cfg)
         params = {f"enc.w{i}": w for i, w in enumerate(encoder.weights)}
         params |= {f"enc.b{i}": b for i, b in enumerate(encoder.biases)}
         # column mean-centering makes the loss exactly invariant to the
@@ -473,10 +470,14 @@ class TestCriterion8DeterminismPersistence:
         )
         nbrs = knn_indices(cloud.positions, cfg.knn)
 
+        def pair(state, cfg):
+            _, draws = pretrain_draws(state.rng, [cloud])
+            return pretrain_grads(state.encoder, cloud, nbrs, draws,
+                                  pretrain_sample(cloud, cfg, draws[2]), cfg)
+
         def steps(state, cfg, count):
-            return [_accumulated_step(
-                state, cfg, lambda: pretrain_grads(state, cloud, cfg, nbrs))
-                for _ in range(count)]
+            return [_accumulated_step(state, cfg, lambda: pair(state, cfg))
+                    for _ in range(count)]
 
         straight = steps(init_state(cfg), cfg, 10)
         state = init_state(cfg)

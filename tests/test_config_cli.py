@@ -30,7 +30,7 @@ from pointvb.training import (
     TrainConfig,
     init_state,
     load_checkpoint,
-    pair_loss_and_grads,
+    pretrain_grads,
     save_checkpoint,
 )
 
@@ -394,6 +394,47 @@ class TestCli:
         assert "data error: only 256 present labels, need 300" in capsys.readouterr().err
         assert prepared == [] and list(out.iterdir()) == []
 
+    @staticmethod
+    def synth_without_labels(tmp_path, scenes):
+        """A config over a synthesized 6-scene data_dir whose training scenes
+        `scenes` have lost their labels files."""
+        data, config = tmp_path / "data", tmp_path / "on_disk.cfg"
+        config.write_text(TINY_CONFIG.replace("num_scenes = 3", "num_scenes = 6")
+                          + f"data_dir = {data}\n")
+        assert main(["synth", "--config", str(config)]) == 0
+        for i in scenes:
+            (data / "train" / f"scene_train{i:04d}.labels").unlink()
+        return config
+
+    @pytest.mark.parametrize("command", ["run", "finetune"])
+    def test_unlabeled_training_scene_stays_unlabeled(self, command, tmp_path, capsys):
+        """A training scene without labels pretrains, is not drawn for
+        fine-tuning, and lets the others be sparsified: the command exits 0."""
+        config = self.synth_without_labels(tmp_path, [3])
+        start = []
+        if command == "finetune":
+            assert main(["pretrain", "--config", str(config),
+                         "--out", str(tmp_path / "pre")]) == 0
+            start = ["--checkpoint", str(tmp_path / "pre" / "pretrain.ckpt")]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), *start]) == 0, \
+            capsys.readouterr().err
+        assert (out / "final.ckpt").is_file()
+
+    @pytest.mark.parametrize("command", ["run", "finetune"])
+    def test_unlabeled_training_split_is_refused_before_preparing(
+            self, command, tmp_path, capsys, monkeypatch):
+        """A training split with no labeled scene exits 2 before any scene is
+        prepared or any phase runs: out_dir stays empty."""
+        config = self.synth_without_labels(tmp_path, range(6))
+        prepared, prepare = [], metrics.prepare_scene
+        monkeypatch.setattr(metrics, "prepare_scene",
+                            lambda *a: prepared.append(1) or prepare(*a))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert "data error: no train scene carries labels" in capsys.readouterr().err
+        assert prepared == [] and list(out.iterdir()) == []
+
     # every seed: the last bias's true gradient is exactly zero (the loss
     # centers each feature column), and so is a dead unit's
     @pytest.mark.parametrize("seed", range(25))
@@ -410,10 +451,10 @@ class TestCli:
     def test_gradcheck_fails_on_wrong_gradients(self, wrong, tensor, capsys,
                                                 monkeypatch):
         def wrong_grads(*args):
-            loss, grads = pair_loss_and_grads(*args)
+            loss, grads = pretrain_grads(*args)
             return loss, {name: wrong(name, g) for name, g in grads.items()}
 
-        monkeypatch.setattr("pointvb.cli.pair_loss_and_grads", wrong_grads)
+        monkeypatch.setattr("pointvb.cli.pretrain_grads", wrong_grads)
         assert main(["gradcheck"]) == 3
         out = capsys.readouterr().out
         assert out.startswith("FAIL max relative error")

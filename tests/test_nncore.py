@@ -29,8 +29,8 @@ def params_of(encoder):
 def forward(enc, cloud, neighbors, rows=None):
     """The encoder's features of the cloud's rows (None: all) over its kNN
     graph neighbors, and the tape."""
-    plan = plan_rows(neighbors, rows, len(enc.weights), enc.dtype)
-    return encoder_forward(enc, plan, encoder_input(cloud, plan, enc.dtype))
+    plan = plan_rows(enc, neighbors, rows)
+    return encoder_forward(enc, plan, encoder_input(cloud, plan))
 
 
 def encoder_loss_fn(cloud, nbrs, upstream, template, rows=None):
@@ -219,7 +219,7 @@ class TestRowPlan:
     def test_reused_plan_and_inputs_equal_a_fresh_forward(self):
         voxels, nbrs, enc = acceptance_scene(4)
         rows = np.random.default_rng(4).choice(len(voxels), 20, replace=False)
-        plan = plan_rows(nbrs, rows, len(enc.weights))
+        plan = plan_rows(enc, nbrs, rows)
         inputs = encoder_input(voxels, plan)
         fresh, fresh_tape = forward(enc, voxels, nbrs, rows)
         upstream = np.random.default_rng(5).normal(size=fresh.shape)
@@ -233,11 +233,28 @@ class TestRowPlan:
     def test_full_plan_shares_one_pooling_operator(self):
         rng = np.random.default_rng(16)
         nbrs = knn_indices(random_cloud(rng, 40).positions, 4)
-        plan = plan_rows(nbrs, None, 4)
+        plan = plan_rows(init_encoder(rng, 4, (8, 8, 8)), nbrs, None)
         assert len(plan.poolings) == 3
         assert all(p is plan.poolings[0] for p in plan.poolings)
         np.testing.assert_array_equal(plan.poolings[0].toarray(),
                                       pooling_operator(nbrs).toarray())
+
+    @pytest.mark.parametrize("rows", [None, np.array([7, 0, 3])], ids=["all", "rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plan_computes_in_its_encoders_dtype(self, dtype, rows):
+        """A plan takes its encoder's dtype: its pooling operators, their
+        transposes, its encoder_input rows and the features computed over it."""
+        rng = np.random.default_rng(17)
+        cloud = random_cloud(rng, 40)
+        drawn = init_encoder(rng, 4, (8, 8))
+        enc = EncoderParams([w.astype(dtype) for w in drawn.weights],
+                            [b.astype(dtype) for b in drawn.biases])
+        plan = plan_rows(enc, knn_indices(cloud.positions, 4), rows)
+        assert plan.dtype == dtype
+        assert all(op.dtype == dtype for op in plan.poolings + plan.transposes)
+        inputs = encoder_input(cloud, plan)
+        assert inputs.dtype == dtype
+        assert encoder_forward(enc, plan, inputs)[0].dtype == dtype
 
     @pytest.mark.parametrize("points, knn", [(30, 3)])
     def test_plan_of_another_graph_raises(self, points, knn):
@@ -245,7 +262,7 @@ class TestRowPlan:
         rng = np.random.default_rng(15)
         cloud = random_cloud(rng, 20)
         other = knn_indices(random_cloud(rng, points).positions, knn)
-        plan = plan_rows(other, np.array([0, 1]), 2)
+        plan = plan_rows(init_encoder(rng, 4, (8,)), other, np.array([0, 1]))
         with pytest.raises(DataError, match="graph shape"):
             encoder_input(cloud, plan)
 

@@ -60,9 +60,10 @@ from pointvb.training import (
     init_state,
     load_checkpoint,
     masked_cross_entropy,
-    pair_loss_and_grads,
     poly_lr,
+    pretrain_draws,
     pretrain_grads,
+    pretrain_sample,
     save_checkpoint,
     sgd_momentum_step,
     to_float32,
@@ -77,14 +78,22 @@ def graph(cloud, cfg):
 def forward(encoder, cloud, neighbors, rows=None):
     """The encoder's features of the cloud's rows (None: all) over its kNN
     graph neighbors, and the tape."""
-    plan = plan_rows(neighbors, rows, len(encoder.weights), encoder.dtype)
-    return encoder_forward(encoder, plan, encoder_input(cloud, plan, encoder.dtype))
+    plan = plan_rows(encoder, neighbors, rows)
+    return encoder_forward(encoder, plan, encoder_input(cloud, plan))
+
+
+def pair_grads(state, cloud, cfg, neighbors):
+    """pretrain_grads of the cloud's pair on draws from state.rng, as a
+    pretrain compute draws them, and the sample at their FPS start."""
+    _, draws = pretrain_draws(state.rng, [cloud])
+    return pretrain_grads(state.encoder, cloud, neighbors, draws,
+                          pretrain_sample(cloud, cfg, draws[2]), cfg)
 
 
 def pretrain_step(state, cloud, cfg):
     """One optimizer step on a single cloud."""
     return _accumulated_step(state, cfg,
-                             lambda: pretrain_grads(state, cloud, cfg, graph(cloud, cfg)))
+                             lambda: pair_grads(state, cloud, cfg, graph(cloud, cfg)))
 
 
 def finetune_step(state, cloud, labels, cfg):
@@ -286,13 +295,20 @@ class TestPretrain:
             last = pretrain_step(state, cloud, cfg)
         assert last < 0.5 * first
 
-    def test_head_gradients_zero_during_pretraining(self):
-        cloud, _ = tiny_scene()
-        cfg = tiny_config()
+    def test_headed_state_is_refused_before_any_worker(self, monkeypatch):
+        """Pretraining trains no head: a state with one is refused before a
+        worker forks, a step runs or a parameter is cast."""
+        cfg = tiny_config(iterations=4)
+        data = VoxelizedScenes(make_synthetic_dataset(3, 2, 256, 4), cfg)
         state = init_state(cfg, with_head=True)
-        _, grads = pretrain_grads(state, cloud, cfg, graph(cloud, cfg))
-        np.testing.assert_array_equal(grads["head.w"], 0.0)
-        np.testing.assert_array_equal(grads["head.b"], 0.0)
+        before = copy.deepcopy(state.param_dict())
+        started = TestFpsWorker.process_starts(monkeypatch)
+        with pytest.raises(DataError, match="classification head"):
+            experiment.pretrain(state, data, cfg)
+        assert started == [] and state.step == 0
+        for name, value in state.param_dict().items():
+            assert value.dtype == np.float64, name
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
 
     def test_gradient_matches_finite_differences(self):
         cloud, _ = tiny_scene(points=96)
@@ -300,14 +316,14 @@ class TestPretrain:
                           knn=4)
         state = init_state(cfg)
         frozen = copy.deepcopy(state)
-        _, grads = pretrain_grads(state, cloud, cfg, graph(cloud, cfg))
+        _, grads = pair_grads(state, cloud, cfg, graph(cloud, cfg))
 
         def loss_fn(params):
             probe = copy.deepcopy(frozen)
             for i in range(len(probe.encoder.weights)):
                 probe.encoder.weights[i] = params[f"enc.w{i}"]
                 probe.encoder.biases[i] = params[f"enc.b{i}"]
-            loss, _ = pretrain_grads(probe, cloud, cfg, graph(cloud, cfg))
+            loss, _ = pair_grads(probe, cloud, cfg, graph(cloud, cfg))
             return loss
 
         errors = gradient_check(
@@ -390,14 +406,12 @@ class TestFinetune:
         assert max(errors.values()) < 1e-5, errors
 
 
-def full_graph_pair_loss_and_grads(encoder, view_p, view_q, sample, vb_cfg,
-                                   neighbors):
-    """pair_loss_and_grads through all-rows forwards and upstreams that are
-    zero off the sample."""
-    feats_p, tape_p = forward(encoder, view_p, neighbors)
-    feats_q, tape_q = forward(encoder, view_q, neighbors)
-    loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample],
-                                            vb_cfg)
+def full_graph_pretrain_grads(encoder, cloud, neighbors, draws, sample, cfg):
+    """pretrain_grads through all-rows forwards and upstreams that are zero
+    off the sample."""
+    feats_p, tape_p = forward(encoder, apply_transform(cloud, draws[0]), neighbors)
+    feats_q, tape_q = forward(encoder, apply_transform(cloud, draws[1]), neighbors)
+    loss, grad_p, grad_q = vb_loss_backward(feats_p[sample], feats_q[sample], cfg)
     grads = None
     for tape, grad in ((tape_p, grad_p), (tape_q, grad_q)):
         upstream = np.zeros_like(feats_p)
@@ -445,14 +459,14 @@ class TestFullGraphReference:
                                        atol=1e-12 * scale, err_msg=name)
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_pretrain_grads(self, seed, monkeypatch):
+    def test_pretrain_grads(self, seed):
         cloud, _, nbrs = self.scene(seed)
         cfg = TrainConfig(seed=seed)
-        restricted = pretrain_grads(init_state(cfg), cloud, cfg, nbrs)
-        monkeypatch.setattr(training, "pair_loss_and_grads",
-                            full_graph_pair_loss_and_grads)
-        full = pretrain_grads(init_state(cfg), cloud, cfg, nbrs)
-        self.assert_same(restricted, full)
+        state = init_state(cfg)
+        _, draws = pretrain_draws(state.rng, [cloud])
+        pair = (state.encoder, cloud, nbrs, draws, pretrain_sample(cloud, cfg, draws[2]),
+                cfg)
+        self.assert_same(pretrain_grads(*pair), full_graph_pretrain_grads(*pair))
 
     @pytest.mark.parametrize("labeled", [2, 20, None])
     def test_finetune_grads(self, labeled):
@@ -487,17 +501,17 @@ class TestFloat32AgainstFloat64:
         cloud, mapping, neighbors = data.clouds[0], data.mappings[0], data.neighbors[0]
         labels = vote_labels(data.point_labels[0], mapping)
         rng = np.random.default_rng(0)
-        view_p, view_q = (apply_transform(cloud, sample_transform(rng, len(cloud)))
-                          for _ in range(2))
-        sample = training.pretrain_sample(cloud, cfg, 0)
+        draws = (sample_transform(rng, len(cloud)), sample_transform(rng, len(cloud)), 0)
+        view_p = apply_transform(cloud, draws[0])
+        sample = pretrain_sample(cloud, cfg, 0)
         wide = init_state(cfg, with_head=True)
         narrow = copy.deepcopy(wide)
         to_float32(narrow)
         results = []
         for state in (narrow, wide):
             features, _ = forward(state.encoder, view_p, neighbors)
-            results.append((features, pair_loss_and_grads(
-                state.encoder, view_p, view_q, sample, cfg, neighbors),
+            results.append((features, pretrain_grads(
+                state.encoder, cloud, neighbors, draws, sample, cfg),
                 finetune_grads(state, finetune_plan(state.encoder, cloud, labels,
                                                     neighbors))))
         (features, *computes), (reference, *references) = results
@@ -774,7 +788,7 @@ class TestInProcessSequence:
 
 class TestPairThreads:
     @pytest.mark.parametrize("failing", ["p", "q"])
-    def test_numeric_error_in_one_view(self, failing):
+    def test_numeric_error_in_one_view(self, failing, monkeypatch):
         """A view whose encoder input is not finite fails the pair with its
         NumericError, whichever view it is."""
         cloud, _ = tiny_scene()
@@ -784,10 +798,11 @@ class TestPairThreads:
         nan.colors[:] = np.nan  # a cloud rejects NaN colors only when built
         views = {"p": cloud, "q": cloud}
         views[failing] = nan
+        # the draws name the views; the transform hands back the one named
+        monkeypatch.setattr(training, "apply_transform", lambda _, view: views[view])
         sample = farthest_point_sampling(cloud, cfg.fps_count, 0)
         with pytest.raises(NumericError, match="non-finite encoder input"):
-            pair_loss_and_grads(encoder, views["p"], views["q"], sample, cfg,
-                                graph(cloud, cfg))
+            pretrain_grads(encoder, cloud, graph(cloud, cfg), ("p", "q", 0), sample, cfg)
 
 
 class TestPlannedSteps:
@@ -838,12 +853,11 @@ class TestPlannedSteps:
         cfg = TrainConfig(seed=seed)
         encoder = init_state(cfg).encoder
         rng = np.random.default_rng(seed)
-        views = [apply_transform(cloud, sample_transform(rng, len(cloud)))
-                 for _ in range(2)]
+        draws = (sample_transform(rng, len(cloud)), sample_transform(rng, len(cloud)), seed)
+        views = [apply_transform(cloud, t) for t in draws[:2]]
         sample = farthest_point_sampling(cloud, 256, seed)
         plans = self.counting(monkeypatch, training, "plan_rows")
-        loss, grads = pair_loss_and_grads(encoder, *views, sample,
-                                          cfg, nbrs)
+        loss, grads = pretrain_grads(encoder, cloud, nbrs, draws, sample, cfg)
         assert len(plans) == 1
         (fp, tape_p), (fq, tape_q) = [forward(encoder, view, nbrs, sample)
                                       for view in views]
@@ -865,7 +879,7 @@ def inline_pretrain(state, data, cfg):
 
     def compute():
         i = int(state.rng.integers(len(data.clouds)))
-        return pretrain_grads(state, data.clouds[i], cfg, data.neighbors[i])
+        return pair_grads(state, data.clouds[i], cfg, data.neighbors[i])
     trace = []
     while state.step < cfg.iterations:
         step, lr = state.step, poly_lr(state.step, cfg)
@@ -1080,11 +1094,11 @@ class TestAttachHead:
 
 class TestCheckpoint:
     def test_round_trip_is_byte_identical(self, tmp_path):
-        cloud, _ = tiny_scene()
-        cfg = tiny_config(iterations=5)
+        cloud, labels = tiny_scene()
+        cfg = tiny_config(phase="finetune", iterations=5)
         state = init_state(cfg, with_head=True)
-        for _ in range(3):
-            pretrain_step(state, cloud, cfg)
+        for _ in range(3):  # a head and momentum buffers for every parameter
+            finetune_step(state, cloud, labels, cfg)
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
         save_checkpoint(state, cfg, first)
